@@ -102,26 +102,22 @@ def make_power_law_coefficients(tau):
             "bound requires tau > 5/2")
 
     weights_fn = _power_law_weights(tau)
-    cache = {"n": 0, "csq": np.zeros(0), "suffix": None, "remainder": 0.0}
-
-    def _extend(n_needed):
-        n = max(4096, 1 << int(math.ceil(math.log2(max(n_needed, 2)))))
-        if n <= cache["n"]:
-            return
-        w = weights_fn(n - 1)
-        csq = w * w
-        # integral upper bound on sum_{k>=n} c_k^2; keeps tail_sq an
-        # over-estimate and exactly monotone across cached indices
-        rem = ((float(n)) ** (1.0 - 2.0 * tau) / (2.0 * tau - 1.0)
-               * math.log(_LOG_SHIFT + n) ** (-3.0))
-        suffix = np.concatenate([np.cumsum(csq[::-1])[::-1], [0.0]]) + rem
-        cache.update(n=n, csq=csq, suffix=suffix, remainder=rem)
+    suffixes = {}  # horizon -> suffix sums of c_k^2 over k < horizon, plus rem
 
     def tail_sq(i):
-        _extend(4 * (i + 1))
-        return float(cache["suffix"][min(i, cache["n"])])
+        # the horizon depends on i alone, so a value never depends on
+        # which indices were queried before
+        n = max(4096, 1 << int(math.ceil(math.log2(max(4 * (i + 1), 2)))))
+        if n not in suffixes:
+            w = weights_fn(n - 1)
+            csq = w * w
+            # integral upper bound on sum_{k>=n} c_k^2; keeps tail_sq an
+            # over-estimate, monotone in i also across horizons
+            rem = ((float(n)) ** (1.0 - 2.0 * tau) / (2.0 * tau - 1.0)
+                   * math.log(_LOG_SHIFT + n) ** (-3.0))
+            suffixes[n] = np.cumsum(csq[::-1])[::-1] + rem
+        return float(suffixes[n][i])
 
-    _extend(4096)
     abs_sum = _abs_sum_power_law(tau)
     return CoefficientSequence(
         kind="power_law", params={"tau": tau},

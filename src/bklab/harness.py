@@ -1,17 +1,21 @@
 """Experiment orchestration: replicated scans across sample sizes.
 
-Every scan derives one stream seed per (n, replicate) cell through the
-fixed splitmix64 chain in :mod:`bklab.seeds`, so outputs are a pure
-function of the config file: reruns are byte-identical at any worker
-count, and per-replicate rows can always be re-aggregated from the CSVs.
+Every scan runs its (n, replicate) cells through :func:`map_cells`, the
+one cell runner, and writes its CSVs through :func:`write_csv`. A cell
+derives its stream seed through the fixed splitmix64 chain in
+:mod:`bklab.seeds`, and every process rebuilds the model and oracle from
+the config, so outputs are a pure function of the config file: reruns
+are byte-identical at any worker count, and per-replicate rows can always
+be re-aggregated from the CSVs.
 """
 
 import csv
+import functools
 import json
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
@@ -222,6 +226,126 @@ def fit_rate(pairs, normalizer=rate_b):
 
 
 # ---------------------------------------------------------------------------
+# cell runner and CSV output
+
+
+_WORKER = {}
+
+
+def _init_worker(raw, cell):
+    config = config_from_dict(raw)
+    model = build_model(config)
+    _WORKER["cell"] = functools.partial(cell, model,
+                                        build_oracle(model, config), config)
+
+
+def _run_cell(n, r):
+    return _WORKER["cell"](n, r)
+
+
+def map_cells(config, cell, n_grid, replicates, threads):
+    """Rows of ``cell(model, oracle, config, n, r)`` for every (n, r), in
+    (n, r) order.
+
+    Each process, including this one at ``threads <= 1``, rebuilds the
+    config, model and oracle once from ``config.raw``, so a row depends on
+    its cell alone and never on the process that ran it.
+    """
+    tasks = [(n, r) for n in n_grid for r in range(replicates)]
+    if threads <= 1:
+        try:
+            _init_worker(config.raw, cell)
+            return [_run_cell(n, r) for n, r in tasks]
+        finally:
+            _WORKER.clear()
+    chunk = max(1, replicates // (4 * threads))
+    with multiprocessing.Pool(threads, initializer=_init_worker,
+                              initargs=(config.raw, cell)) as pool:
+        return pool.starmap(_run_cell, tasks, chunksize=chunk)
+
+
+def _csv_field(value):
+    if isinstance(value, bool):
+        return int(value)
+    return repr(float(value)) if isinstance(value, float) else value
+
+
+def write_csv(path, header, rows):
+    """Write ``rows`` under ``header``: floats as ``repr`` (exact round
+    trip), bools as 0/1, ints and strings as they are."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([_csv_field(v) for v in row] for row in rows)
+
+
+def write_rows_csv(path, rows, row_type):
+    """Dataclass rows, one column per field of ``row_type``."""
+    names = [f.name for f in fields(row_type)]
+    write_csv(path, names, ([getattr(row, k) for k in names] for row in rows))
+
+
+def _aggregate(values):
+    arr = np.asarray(values, dtype=float)
+    if np.all(np.isnan(arr)):
+        return {"mean": math.nan, "median": math.nan, "max": math.nan}
+    return {"mean": float(np.mean(arr)), "median": float(np.median(arr)),
+            "max": float(np.max(arr))}
+
+
+# ---------------------------------------------------------------------------
+# iterated-logarithm scan
+
+
+@dataclass(frozen=True)
+class LilRow:
+    n: int
+    replicate: int
+    seed: int
+    lil_beta: float
+    lil_u: float
+
+
+def _lil_sample(model, oracle, config, n, r):
+    """Sample summary, PIT summary and normalized sup row of cell (n, r)."""
+    seed = mix_seed(config.master_seed, n, r)
+    path = simulate_path(model, n, seed, trunc_tol=config.trunc_tol)
+    u = pit_transform(path, oracle)
+    xs = EmpiricalSummary.from_sample(path.x, seed=seed)
+    us = EmpiricalSummary.from_sample(u, seed=seed)
+    norm = math.sqrt(2.0 * math.log(math.log(n)))
+    return xs, us, LilRow(n=n, replicate=r, seed=seed,
+                          lil_beta=sup_abs_beta(xs, oracle) / norm,
+                          lil_u=sup_abs_u(us) / norm)
+
+
+def _lil_cell(model, oracle, config, n, r):
+    return _lil_sample(model, oracle, config, n, r)[2]
+
+
+def run_lil_scan(config, threads=1, out_dir=None):
+    """Per-replicate normalized sup statistics and their per-n summaries.
+
+    A rate-scan cell computes the same rows, so they equal its
+    ``lil_beta``/``lil_u`` columns, but this scan evaluates no residual:
+    only sup|beta| / (2 log log n)^(1/2) and its PIT-side counterpart.
+    Returns the rows and {n: {"mean", "median", "max"}} of ``lil_beta``.
+    """
+    gate_conditions(config, build_model(config))
+    rows = map_cells(config, _lil_cell, config.n_grid, config.replicates,
+                     threads)
+    summary = {n: _aggregate([r.lil_beta for r in rows if r.n == n])
+               for n in config.n_grid}
+    if out_dir is not None:
+        write_rows_csv(os.path.join(out_dir, "lil_scan.csv"), rows, LilRow)
+        write_csv(os.path.join(out_dir, "lil_summary.csv"),
+                  ["n", "median", "max"],
+                  [(n, s["median"], s["max"]) for n, s in summary.items()])
+    return rows, summary
+
+
+# ---------------------------------------------------------------------------
 # rate scan
 
 
@@ -242,29 +366,11 @@ class RateScanResult:
     rows: list
     per_n: dict     # n -> {stat: {"mean","median","max"}}
     fits: dict      # statistic name -> RateFit
-    lil_medians: dict
-
-    def median(self, stat, n):
-        return self.per_n[n][stat]["median"]
-
-
-_WORKER = {}
-
-
-def _rate_worker_init(model_cfg_raw):
-    cfg = config_from_dict(model_cfg_raw)
-    model = build_model(cfg)
-    _WORKER["config"] = cfg
-    _WORKER["model"] = model
-    _WORKER["oracle"] = build_oracle(model, cfg)
 
 
 def _rate_cell(model, oracle, config, n, r):
-    seed = mix_seed(config.master_seed, n, r)
-    path = simulate_path(model, n, seed, trunc_tol=config.trunc_tol)
-    u = pit_transform(path, oracle)
-    xs = EmpiricalSummary.from_sample(path.x, seed=seed)
-    us = EmpiricalSummary.from_sample(u, seed=seed)
+    xs, us, lil = _lil_sample(model, oracle, config, n, r)
+    seed = lil.seed
     a, b = config.interval
     rs = residual_sup(xs, us, oracle, a, b, refine=config.refine, seed=seed)
     if config.nu is not None:
@@ -274,40 +380,10 @@ def _rate_cell(model, oracle, config, n, r):
     else:
         weighted = math.nan
     mid = abs(residual_pointwise(xs, us, oracle, 0.5))
-    norm = math.sqrt(2.0 * math.log(math.log(n)))
     return RateRow(
         n=n, replicate=r, seed=seed, sup_abs=rs.sup_abs,
         weighted_sup=weighted, pointwise_mid=mid,
-        lil_beta=sup_abs_beta(xs, oracle) / norm,
-        lil_u=sup_abs_u(us) / norm)
-
-
-def _rate_chunk(args):
-    n, r_lo, r_hi = args
-    cfg = _WORKER["config"]
-    model = _WORKER["model"]
-    oracle = _WORKER["oracle"]
-    return [_rate_cell(model, oracle, cfg, n, r) for r in range(r_lo, r_hi)]
-
-
-def _scan_cells(config, threads):
-    chunk = max(1, config.replicates // max(4 * max(threads, 1), 1))
-    tasks = []
-    for n in config.n_grid:
-        for lo in range(0, config.replicates, chunk):
-            tasks.append((n, lo, min(lo + chunk, config.replicates)))
-    return tasks
-
-
-def _run_chunks(config, tasks, threads):
-    if threads <= 1:
-        _rate_worker_init(config.raw)
-        results = [_rate_chunk(t) for t in tasks]
-        _WORKER.clear()
-        return results
-    with multiprocessing.Pool(threads, initializer=_rate_worker_init,
-                              initargs=(config.raw,)) as pool:
-        return pool.map(_rate_chunk, tasks)
+        lil_beta=lil.lil_beta, lil_u=lil.lil_u)
 
 
 def run_rate_scan(config, threads=1, out_dir=None):
@@ -318,11 +394,9 @@ def run_rate_scan(config, threads=1, out_dir=None):
     and both normalized sup statistics for the iterated-logarithm check.
     Aggregates medians/means/maxima per n and fits log-log slopes.
     """
-    model = build_model(config)
-    gate_conditions(config, model)
-    rows = [row for chunk in _run_chunks(config, _scan_cells(config, threads), threads)
-            for row in chunk]
-    rows.sort(key=lambda r: (r.n, r.replicate))
+    gate_conditions(config, build_model(config))
+    rows = map_cells(config, _rate_cell, config.n_grid, config.replicates,
+                     threads)
 
     per_n = {}
     for n in config.n_grid:
@@ -344,77 +418,13 @@ def run_rate_scan(config, threads=1, out_dir=None):
             [(n, per_n[n]["pointwise_mid"]["median"]) for n in config.n_grid],
             normalizer=rate_kiefer_pointwise)
 
-    lil_medians = {n: per_n[n]["lil_beta"]["median"] for n in config.n_grid}
-    result = RateScanResult(rows=rows, per_n=per_n, fits=fits,
-                            lil_medians=lil_medians)
     if out_dir is not None:
-        write_rate_scan_csv(result, os.path.join(out_dir, "rate_scan.csv"))
-        write_fit_csv(result.fits, os.path.join(out_dir, "fit.csv"))
-    return result
-
-
-def _aggregate(values):
-    arr = np.asarray(values, dtype=float)
-    if np.all(np.isnan(arr)):
-        return {"mean": math.nan, "median": math.nan, "max": math.nan}
-    return {"mean": float(np.mean(arr)), "median": float(np.median(arr)),
-            "max": float(np.max(arr))}
-
-
-def write_rate_scan_csv(result, path):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "replicate", "seed", "sup_abs", "weighted_sup",
-                    "pointwise_mid", "lil_beta", "lil_u"])
-        for r in result.rows:
-            w.writerow([r.n, r.replicate, r.seed, repr(r.sup_abs),
-                        repr(r.weighted_sup), repr(r.pointwise_mid),
-                        repr(r.lil_beta), repr(r.lil_u)])
-
-
-def write_fit_csv(fits, path):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["statistic", "slope", "intercept", "ratio_stability"])
-        for name, fit in fits.items():
-            w.writerow([name, repr(fit.slope), repr(fit.intercept),
-                        repr(fit.ratio_stability)])
-
-
-# ---------------------------------------------------------------------------
-# iterated-logarithm scan
-
-
-def run_lil_scan(config, threads=1, out_dir=None):
-    """Per-replicate normalized sup statistics and their per-n summaries.
-
-    Reuses the rate-scan cells (same derived seeds) but keeps only the
-    normalized suprema sup|beta| / (2 log log n)^(1/2) and the PIT-side
-    counterpart.
-    """
-    result = run_rate_scan(config, threads=threads)
-    summary = {n: {"median": result.per_n[n]["lil_beta"]["median"],
-                   "max": result.per_n[n]["lil_beta"]["max"]}
-               for n in config.n_grid}
-    if out_dir is not None:
-        path = os.path.join(out_dir, "lil_scan.csv")
-        os.makedirs(out_dir, exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["n", "replicate", "seed", "lil_beta", "lil_u"])
-            for r in result.rows:
-                w.writerow([r.n, r.replicate, r.seed, repr(r.lil_beta),
-                            repr(r.lil_u)])
-        spath = os.path.join(out_dir, "lil_summary.csv")
-        with open(spath, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["n", "median", "max"])
-            for n in config.n_grid:
-                w.writerow([n, repr(summary[n]["median"]),
-                            repr(summary[n]["max"])])
-    return result, summary
+        write_rows_csv(os.path.join(out_dir, "rate_scan.csv"), rows, RateRow)
+        write_csv(os.path.join(out_dir, "fit.csv"),
+                  ["statistic", "slope", "intercept", "ratio_stability"],
+                  [(name, fit.slope, fit.intercept, fit.ratio_stability)
+                   for name, fit in fits.items()])
+    return RateScanResult(rows=rows, per_n=per_n, fits=fits)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +494,17 @@ class IncrementRow:
     normalized: float
 
 
+def _increment_cell(model, oracle, config, n, r, d_of, window_cells):
+    d = d_of[n]
+    seed = mix_seed(config.master_seed, n, r)
+    path = simulate_path(model, n, seed, trunc_tol=config.trunc_tol)
+    us = np.sort(pit_transform(path, oracle))
+    mod = increment_modulus(us, d, window_cells=window_cells)
+    norm = math.sqrt(d * math.log(n) / n)
+    return IncrementRow(n=n, replicate=r, seed=seed, d_n=d, modulus=mod,
+                        normalized=mod / norm)
+
+
 def run_increment_check(config, d_n_rule="lambda_n", threads=1, out_dir=None):
     """Increment modulus of the centered empirical CDF at window d_n.
 
@@ -493,8 +514,7 @@ def run_increment_check(config, d_n_rule="lambda_n", threads=1, out_dir=None):
     increment bound is negligible at this window choice and is omitted
     from the normalizer.
     """
-    model = build_model(config)
-    gate_conditions(config, model)
+    gate_conditions(config, build_model(config))
     if d_n_rule == "lambda_n":
         d_of = {n: rate_lambda(n) for n in config.n_grid}
     elif isinstance(d_n_rule, dict):
@@ -510,29 +530,13 @@ def run_increment_check(config, d_n_rule="lambda_n", threads=1, out_dir=None):
                 f"window too small at n={n}: need n*d_n/log(n) >= 10, "
                 f"got {n * d / math.log(n):.3g}")
 
-    window_cells = int(config.increments.get("window_cells", 512))
-    oracle = build_oracle(model, config)
-    rows = []
-    for n in config.n_grid:
-        d = d_of[n]
-        norm = math.sqrt(d * math.log(n) / n)
-        for r in range(config.replicates):
-            seed = mix_seed(config.master_seed, n, r)
-            path = simulate_path(model, n, seed, trunc_tol=config.trunc_tol)
-            us = np.sort(pit_transform(path, oracle))
-            mod = increment_modulus(us, d, window_cells=window_cells)
-            rows.append(IncrementRow(n=n, replicate=r, seed=seed, d_n=d,
-                                     modulus=mod, normalized=mod / norm))
+    cell = functools.partial(
+        _increment_cell, d_of=d_of,
+        window_cells=int(config.increments.get("window_cells", 512)))
+    rows = map_cells(config, cell, config.n_grid, config.replicates, threads)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "increments.csv"), "w", newline="",
-                  encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["n", "replicate", "seed", "d_n", "modulus",
-                        "normalized"])
-            for r in rows:
-                w.writerow([r.n, r.replicate, r.seed, repr(r.d_n),
-                            repr(r.modulus), repr(r.normalized)])
+        write_rows_csv(os.path.join(out_dir, "increments.csv"), rows,
+                       IncrementRow)
     return rows
 
 
@@ -553,6 +557,14 @@ class CovarianceCheckRow:
     converged: bool
 
 
+def _covariance_cell(model, oracle, config, n, r, x_grid):
+    """sqrt(n) N(x) of replicate r, for each x of the grid."""
+    seed = mix_seed(config.master_seed, n, r)
+    path = simulate_path(model, n, seed, trunc_tol=config.trunc_tol)
+    return [math.sqrt(n) * float(np.mean(y_summands(path, oracle, x)))
+            for x in x_grid]
+
+
 def run_covariance_check(config, x_grid=None, threads=1, out_dir=None):
     """Replicate variance of sqrt(n) N(x) against the estimated Gamma(x, x).
 
@@ -561,7 +573,6 @@ def run_covariance_check(config, x_grid=None, threads=1, out_dir=None):
     """
     model = build_model(config)
     gate_conditions(config, model)
-    oracle = build_oracle(model, config)
     cov = config.covariance
     n = int(cov.get("n", 16384))
     reps = int(cov.get("replicates", 1000))
@@ -571,14 +582,10 @@ def run_covariance_check(config, x_grid=None, threads=1, out_dir=None):
         x_grid = cov.get("x_grid", [-1.0, 0.0, 1.0])
     x_grid = [float(x) for x in x_grid]
 
-    samples = {x: np.empty(reps) for x in x_grid}
-    for r in range(reps):
-        seed = mix_seed(config.master_seed, n, r)
-        path = simulate_path(model, n, seed, trunc_tol=config.trunc_tol)
-        for x in x_grid:
-            samples[x][r] = math.sqrt(n) * float(np.mean(
-                y_summands(path, oracle, x)))
-
+    samples = map_cells(config, functools.partial(_covariance_cell,
+                                                  x_grid=x_grid),
+                        [n], reps, threads)
+    oracle = build_oracle(model, config)
     rows = []
     probs = np.arange(1, 10) / 10.0
     for ix, x in enumerate(x_grid):
@@ -586,7 +593,7 @@ def run_covariance_check(config, x_grid=None, threads=1, out_dir=None):
             model, oracle, x, x, lag_horizon=lag_horizon, mc_draws=mc_draws,
             seed=mix_seed(config.master_seed, n, 1_000_000 + ix),
             trunc_tol=config.trunc_tol)
-        s = samples[x]
+        s = np.array([row[ix] for row in samples])
         var_emp = float(np.var(s, ddof=1))
         var_se = var_emp * math.sqrt(2.0 / (reps - 1))
         sd = math.sqrt(max(est.gamma, 0.0))
@@ -596,16 +603,8 @@ def run_covariance_check(config, x_grid=None, threads=1, out_dir=None):
             gamma=est.gamma, gamma_se=est.stderr, qq_max_dev=qq,
             converged=est.converged))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "covariance.csv"), "w", newline="",
-                  encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["x", "n", "replicates", "var_emp", "var_se", "gamma",
-                        "gamma_se", "qq_max_dev", "converged"])
-            for r in rows:
-                w.writerow([repr(r.x), r.n, r.replicates, repr(r.var_emp),
-                            repr(r.var_se), repr(r.gamma), repr(r.gamma_se),
-                            repr(r.qq_max_dev), int(r.converged)])
+        write_rows_csv(os.path.join(out_dir, "covariance.csv"), rows,
+                       CovarianceCheckRow)
     return rows
 
 

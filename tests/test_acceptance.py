@@ -239,8 +239,8 @@ def test_07_lil_boundedness(uniform_scan, powerlaw_scan):
 
 @pytest.fixture(scope="module")
 def increment_rows():
-    rows_u = run_increment_check(uniform_config())
-    rows_p = run_increment_check(powerlaw_config())
+    rows_u = run_increment_check(uniform_config(), threads=THREADS)
+    rows_p = run_increment_check(powerlaw_config(), threads=THREADS)
     return rows_u, rows_p
 
 

@@ -58,6 +58,20 @@ class TestPowerLaw:
         direct = float(np.sum(c.weights(100_000) ** 2))
         assert c.tail_sq(0) == pytest.approx(direct, rel=1e-6)
 
+    def test_tail_sq_independent_of_query_history(self):
+        # a value depends on i alone, not on larger indices queried before
+        c = make_power_law_coefficients(3.0)
+        before = [c.tail_sq(i) for i in (0, 9, 1023)]
+        c.tail_sq(20_000)
+        assert [c.tail_sq(i) for i in (0, 9, 1023)] == before
+        assert make_power_law_coefficients(3.0).tail_sq(9) == before[1]
+
+    def test_tail_sq_monotone_across_horizons(self):
+        # 1023 and 1024 fall on either side of a cached-horizon boundary
+        c = make_power_law_coefficients(3.0)
+        for i in (1023, 2047, 4095):
+            assert c.tail_sq(i) > c.tail_sq(i + 1) > 0.0
+
 
 class TestGeometricAndFinite:
     def test_geometric_closed_form(self):

@@ -1,16 +1,18 @@
+import json
 import math
-import os
 
 import numpy as np
 import pytest
 
+from bklab import harness
 from bklab.bk import rate_b, rate_lambda
+from bklab.cli import main as cli_main
 from bklab.empirical import EmpiricalSummary, sup_abs_u
 from bklab.errors import ConfigError, ModelError
 from bklab.harness import (build_model, build_oracle, config_from_dict,
                            fit_rate, gate_conditions, increment_modulus,
                            run_covariance_check, run_increment_check,
-                           run_rate_scan, write_manifest)
+                           run_lil_scan, run_rate_scan, write_manifest)
 from bklab.paths import pit_transform, simulate_path
 from bklab.seeds import mix_seed, splitmix64
 
@@ -134,16 +136,6 @@ class TestRateScan:
             float(np.median(sub)))
         assert "sup_abs" in res.fits and "pointwise_mid" in res.fits
 
-    def test_threads_equivalence(self, tmp_path):
-        cfg = config_from_dict(make_config(
-            innovation="uniform", rho=0.3, n_grid=(16, 32), replicates=4,
-            master_seed=11))
-        d1, d2 = tmp_path / "t1", tmp_path / "t2"
-        run_rate_scan(cfg, threads=1, out_dir=str(d1))
-        run_rate_scan(cfg, threads=2, out_dir=str(d2))
-        assert (d1 / "rate_scan.csv").read_bytes() == \
-            (d2 / "rate_scan.csv").read_bytes()
-
     def test_lil_columns_match_direct_computation(self, iid_uniform):
         model, oracle = iid_uniform
         cfg = config_from_dict(make_config(
@@ -165,6 +157,71 @@ class TestRateScan:
             n_grid=(16,), replicates=1))
         with pytest.raises(ModelError):
             run_rate_scan(cfg)
+
+
+POWER_LAW = {"coefficients": {"kind": "power_law", "tau": 3.0},
+             "gamma1": 1.0, "gamma2": 1.0}
+
+
+class TestLilScan:
+    def test_matches_rate_scan_without_residuals(self, monkeypatch):
+        cfg = config_from_dict(make_config(
+            nu=2.5, n_grid=(16, 64, 256), replicates=3, master_seed=4,
+            **POWER_LAW))
+        scan = run_rate_scan(cfg)
+
+        def no_residual(*args, **kwargs):
+            raise AssertionError("lil-scan evaluated a residual")
+
+        for name in ("residual_sup", "weighted_residual_sup",
+                     "residual_pointwise"):
+            monkeypatch.setattr(harness, name, no_residual)
+        rows, summary = run_lil_scan(cfg)
+        assert [(r.n, r.replicate, r.seed, r.lil_beta, r.lil_u)
+                for r in rows] == [(r.n, r.replicate, r.seed, r.lil_beta,
+                                    r.lil_u) for r in scan.rows]
+        for n in cfg.n_grid:
+            assert summary[n] == scan.per_n[n]["lil_beta"]
+
+
+# command -> (config, output files); every scan command must write the
+# same bytes in-process and on a worker pool
+THREAD_CASES = {
+    "rate-scan": (
+        make_config(innovation="uniform", rho=0.3, n_grid=(16, 32, 64),
+                    replicates=4, master_seed=11),
+        ("rate_scan.csv", "fit.csv")),
+    "lil-scan": (
+        make_config(n_grid=(16, 32, 64), replicates=4, master_seed=12,
+                    **POWER_LAW),
+        ("lil_scan.csv", "lil_summary.csv")),
+    # the increment window gate needs n * d_n / log(n) >= 10, so n >= 2048
+    "increment-check": (
+        make_config(n_grid=(2048,), replicates=4, master_seed=13,
+                    **POWER_LAW),
+        ("increments.csv",)),
+    "covariance-check": (
+        make_config(n_grid=(16,), replicates=1, master_seed=14,
+                    extra={"covariance": {"n": 256, "replicates": 12,
+                                          "x_grid": [-0.5, 0.5],
+                                          "lag_horizon": 2,
+                                          "mc_draws": 1000}},
+                    **POWER_LAW),
+        ("covariance.csv",)),
+}
+
+
+@pytest.mark.parametrize("command", THREAD_CASES)
+def test_threads_equivalence(tmp_path, command):
+    config, outputs = THREAD_CASES[command]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    for threads in ("1", "2"):
+        assert cli_main([command, "--config", str(path), "--out",
+                         str(tmp_path / threads), "--threads", threads]) == 0
+    for name in outputs + ("run_manifest.json",):
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes()
 
 
 class TestIncrementModulus:
@@ -273,7 +330,6 @@ def test_manifest_contents(tmp_path):
         innovation="uniform", rho=0.3, n_grid=(16,), replicates=2,
         master_seed=31))
     write_manifest(cfg, "rate-scan", str(tmp_path))
-    import json
     data = json.loads((tmp_path / "run_manifest.json").read_text())
     assert data["tool"] == "bklab"
     assert data["master_seed"] == 31
