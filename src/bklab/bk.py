@@ -10,10 +10,35 @@ correction. Its classical normalizers (natural logs throughout):
 
 All three require n >= 16, the smallest power of two with log log n > 0.
 
-Suprema over an interval are evaluated on the jump grid (both one-sided
-limits at every step discontinuity plus a uniform refinement, default
-4n points); a refinement-doubling check is the documented way to confirm
-grid convergence on a given model.
+Suprema over an interval (a, b) are exact. R is smooth between its
+breakpoints: the jumps k/n of the empirical quantile and the PIT order
+statistics U_(i), where the empirical CDF jumps. On the open piece between
+two breakpoints Q_n(y) = X_(k) and E_n(y) = j/n are constant, so
+
+    R'(y) = 2 sqrt(n) + (f'/f)(Q(y)) q(y),
+
+and R increases on the piece when L d < 2, with L a bound of |f'/f| on the
+piece's Q-range and d = max |Q - X_(k)| there. That is the piece's
+monotonicity certificate, with margin 2 - L d; a certified piece attains
+its sup |R| at a one-sided endpoint limit. A piece that fails is bisected
+for as long as the Lipschitz bound |R'| <= sqrt(n) (2 + L d) leaves room
+above the running maximum, one quantile evaluation per split. The sup
+includes the end limits R(a+) and R(b-). The weighted sup uses the same
+pieces, bounding (y(1-y))^nu |R| on a piece by the largest weight on it
+times the piece's bound of |R|. The result is the largest value attained,
+within ``SUP_TOL`` of the supremum of the served oracle functions.
+
+L comes from the oracle: |x|/sigma^2 for the exact Gaussian oracle, and
+alpha + beta (|x| + max |s_j|) for a mixture over predictor points s_j of
+an innovation with |f_eps'/f_eps|(z) <= alpha + beta |z|, because
+f' = mean_j f_eps'(x - s_j); a mixture over several points needs a smooth
+innovation density for that identity, and is a ModelError otherwise (the
+same models the harness's smoothness gate rejects).
+
+``refine=<int>`` selects the brute-force grid instead: both one-sided
+limits at every jump, sampled 1e-12 to either side, plus ``refine``
+uniform points. It stops (b - a)/(refine + 1) short of the interval ends
+and is kept only as a cross-check of the exact sup in the tests.
 """
 
 import math
@@ -25,6 +50,7 @@ from .empirical import alpha_process, equantile, jump_grid
 from .errors import ModelError
 
 DENSITY_FLOOR = 1e-12
+SUP_TOL = 1e-13  # bisection stops once no piece can beat the max by more
 
 
 def _check_n(n):
@@ -65,7 +91,13 @@ def csr_nu_min(gamma):
 
 @dataclass(frozen=True)
 class ResidualSeries:
-    """Residual values on a y-grid with plain and weighted suprema."""
+    """Residual values on a y-grid with plain and weighted suprema.
+
+    The exact sup reports R at its breakpoints (the inner one-sided limit
+    at the interval ends), the smallest certificate margin 2 - L d over
+    its pieces and the number of pieces it bisected; the grid sup reports
+    its grid, NaN and 0.
+    """
 
     y_grid: np.ndarray
     values: np.ndarray
@@ -75,6 +107,8 @@ class ResidualSeries:
     interval: tuple
     n: int
     seed: int | None = None
+    min_margin: float = math.nan
+    refined: int = 0
 
     def to_csv(self, fh):
         a, b = self.interval
@@ -92,17 +126,23 @@ def _weight(y, nu):
     return (y * (1.0 - y)) ** nu
 
 
+def _quantile_density(oracle, y):
+    """Q(y) and f(Q(y)), with f bounded away from zero."""
+    qy = np.asarray(oracle.quantile(y), dtype=float)
+    fq = np.asarray(oracle.pdf(qy), dtype=float)
+    if np.any(fq < DENSITY_FLOOR):
+        bad = float(y[np.argmin(fq)])
+        raise ModelError(
+            f"density at Q({bad:.6g}) is below {DENSITY_FLOOR:g}: the "
+            "density must stay bounded away from zero on the working interval")
+    return qy, fq
+
+
 def residual_values(summary, pit_summary, oracle, y):
     """R(y) = f(Q(y)) q(y) - alpha(y), vectorized over y."""
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     n = summary.n
-    qy = np.asarray(oracle.quantile(y_arr), dtype=float)
-    fq = np.asarray(oracle.pdf(qy), dtype=float)
-    if np.any(fq < DENSITY_FLOOR):
-        bad = float(y_arr[np.argmin(fq)])
-        raise ModelError(
-            f"density at Q({bad:.6g}) is below {DENSITY_FLOOR:g}: the "
-            "density must stay bounded away from zero on the working interval")
+    qy, fq = _quantile_density(oracle, y_arr)
     q = math.sqrt(n) * (qy - equantile(summary, y_arr))
     return fq * q - alpha_process(pit_summary, y_arr)
 
@@ -115,26 +155,230 @@ def residual_pointwise(summary, pit_summary, oracle, y):
     return float(residual_values(summary, pit_summary, oracle, np.array([y]))[0])
 
 
-def residual_sup(summary, pit_summary, oracle, a, b, refine=None, seed=None):
-    """Residual series and sup of |R| over the jump grid of (a, b)."""
+# ---------------------------------------------------------------------------
+# exact piecewise sup
+
+
+def _score_bound(oracle):
+    """(alpha, beta, shift) with |f'/f|(x) <= alpha + beta (|x| + shift)
+    for the oracle's served density."""
+    if oracle.use_exact:
+        return 0.0, 1.0 / oracle.sigma_exact ** 2, 0.0
+    points = oracle.mixture_points
+    innov = oracle.innovation
+    if points.size > 1 and not innov.smooth:
+        raise ModelError(
+            f"the exact residual sup needs a smooth innovation density for "
+            f"a mixture oracle; {innov.name!r} is not smooth")
+    alpha, beta = innov.score_bound
+    return alpha, beta, float(np.max(np.abs(points)))
+
+
+def _jump_slots(v, n, strict):
+    """Per value: the count of jumps k/n (k = 1..n-1) below it, or at or
+    below it when not ``strict``. floor(n v) is off by at most one where
+    n v or k/n rounds across an integer; one guarded step each way
+    corrects it against the float jumps themselves."""
+    v = np.asarray(v, dtype=float)
+    s = np.clip(np.floor(v * n), 0, n - 1).astype(np.int64)
+
+    def below(k):
+        return k / n < v if strict else k / n <= v
+
+    s += (s < n - 1) & below(s + 1)
+    s -= (s > 0) & ~below(s)
+    return s
+
+
+def _breakpoints(pit_summary, cuts):
+    """Breakpoints on [min cut, max cut] and the state of each piece.
+
+    ``cuts`` are (y, lower) interval ends. Returns the sorted points t, the
+    rank k of Q_n(y) = X_(k) and the count j of n E_n(y) on each piece
+    (t[p], t[p+1]), and the index in t of each cut. A cut that coincides
+    with a jump sits on the inner side of it. Where a PIT order statistic
+    coincides with a jump k/n, the zero-length piece between them has
+    values between the two one-sided limits at k/n, so no sup changes.
+    """
+    n = pit_summary.n
+    us = pit_summary.sorted
+    lo = min(y for y, _ in cuts)
+    hi = max(y for y, _ in cuts)
+    k_lo = int(_jump_slots(lo, n, strict=False))
+    k_hi = int(_jump_slots(hi, n, strict=True))
+    i_lo = int(np.searchsorted(us, lo, side="right"))
+    i_hi = int(np.searchsorted(us, hi, side="left"))
+    u = us[i_lo:i_hi]
+
+    # U_(i) follows the earlier order statistics and the jumps below it
+    at_u = np.zeros(u.size + k_hi - k_lo, dtype=bool)
+    at_u[np.arange(u.size) + _jump_slots(u, n, strict=True) - k_lo] = True
+    t = np.empty(at_u.size)
+    t[at_u] = u
+    t[~at_u] = np.arange(k_lo + 1, k_hi + 1) / n
+
+    pos = [int(_jump_slots(y, n, strict=not lower)) - k_lo
+           + int(np.searchsorted(u, y, side="right" if lower else "left"))
+           for y, lower in cuts]
+    order = sorted(range(len(cuts)), key=lambda i: (pos[i], cuts[i]))
+    at = [0] * len(cuts)
+    for rank, i in enumerate(order):
+        at[i] = pos[i] + rank
+    where = [pos[i] for i in order]
+    t = np.insert(t, where, [cuts[i][0] for i in order])
+    at_u = np.insert(at_u, where, False)
+    at_jump = ~at_u
+    at_jump[at] = False
+    k = k_lo + 1 + np.cumsum(at_jump)[:-1]
+    j = i_lo + np.cumsum(at_u)[:-1]
+    return t, k, j, at
+
+
+class _Pieces:
+    """Open pieces (l, r) on which Q_n = x and E_n = e, with Q, the
+    one-sided limits of R and the weight at both ends, and whether each
+    piece lies in the plain and in the weighted interval."""
+
+    def __init__(self, l, r, ql, qr, rl, rr, wl, wr, x, e, plain, weighted):
+        self.l, self.r, self.ql, self.qr = l, r, ql, qr
+        self.rl, self.rr, self.wl, self.wr = rl, rr, wl, wr
+        self.x, self.e, self.plain, self.weighted = x, e, plain, weighted
+
+    def take(self, mask):
+        return _Pieces(*(v[mask] for v in vars(self).values()))
+
+    def halves(self, mid, qm, rm, wm):
+        """Both halves of every piece, split at mid where Q = qm, R = rm
+        and the weight is wm."""
+        same = (self.x, self.e, self.plain, self.weighted)
+        left = (self.l, mid, self.ql, qm, self.rl, rm, self.wl, wm) + same
+        right = (mid, self.r, qm, self.qr, rm, self.rr, wm, self.wr) + same
+        return _Pieces(*(np.concatenate(pair) for pair in zip(left, right)))
+
+    def peak_weight(self, nu):
+        """The weight's largest value on each piece, at its point nearest
+        1/2."""
+        inner = np.where(self.l >= 0.5, self.wl, 0.25 ** nu)
+        return np.where(self.r <= 0.5, self.wr, inner)
+
+    def margin(self, score):
+        """2 - L d: positive where R is certified increasing."""
+        alpha, beta, shift = score
+        top = np.maximum(np.abs(self.ql), np.abs(self.qr))
+        d = np.maximum(np.abs(self.ql - self.x), np.abs(self.qr - self.x))
+        return 2.0 - (alpha + beta * (top + shift)) * d
+
+    def bound(self, margin, rn):
+        """Upper bound of |R| on each piece: the larger end limit where the
+        piece is certified, else the Lipschitz bound with
+        |R'| <= sqrt(n) (2 + L d) = sqrt(n) (4 - margin)."""
+        al, ar = np.abs(self.rl), np.abs(self.rr)
+        top = np.maximum(al, ar)
+        fail = margin <= 0.0
+        lip = rn * (4.0 - margin[fail])
+        top[fail] = np.maximum(top[fail], 0.5 * (
+            al[fail] + ar[fail] + lip * (self.r[fail] - self.l[fail])))
+        return top
+
+
+def _exact_sup(summary, pit_summary, oracle, plain, nu, seed):
+    """Exact sup |R| over ``plain`` = (a, b) and, when ``nu`` is set,
+    sup (y(1-y))^nu |R| over (1/(n+1), n/(n+1)), from one breakpoint pass."""
     n = summary.n
-    if refine is None:
-        refine = 4 * n
+    a, b = plain
+    if not (0.0 < a < b < 1.0):
+        raise ValueError(f"the exact sup needs 0 < a < b < 1, got ({a}, {b})")
+    cuts = [(a, True), (b, False)]
+    if nu is not None:
+        cuts += [(1.0 / (n + 1), True), (n / (n + 1.0), False)]
+    t, k, j, at = _breakpoints(pit_summary, cuts)
+    rn = math.sqrt(n)
+    qt, ft = _quantile_density(oracle, t)
+    x = summary.sorted[k - 1]
+    e = j / n
+    rl = ft[:-1] * (rn * (qt[:-1] - x)) - rn * (e - t[:-1])
+    rr = ft[1:] * (rn * (qt[1:] - x)) - rn * (e - t[1:])
+    in_range = np.zeros((2, k.size), dtype=bool)
+    in_range[0, at[0]:at[1]] = True
+    if nu is not None:
+        in_range[1, at[2]:at[3]] = True
+    nu = 0.0 if nu is None else float(nu)
+
+    wt = _weight(t, nu)
+    pieces = _Pieces(t[:-1], t[1:], qt[:-1], qt[1:], rl, rr, wt[:-1], wt[1:],
+                     x, e, *in_range)
+    score = _score_bound(oracle)
+    margin = pieces.margin(score)
+    min_margin = float(np.min(margin[in_range[0] | in_range[1]]))
+    best = best_w = 0.0
+    refined = None
+    while True:
+        p, w = pieces.plain, pieces.weighted
+        best = max(best, np.max(np.abs(pieces.rl[p]), initial=0.0),
+                   np.max(np.abs(pieces.rr[p]), initial=0.0))
+        bound = pieces.bound(margin, rn)
+        need = p & (bound > best + SUP_TOL)
+        if w.any():
+            best_w = max(best_w, np.max((pieces.wl * np.abs(pieces.rl))[w]),
+                         np.max((pieces.wr * np.abs(pieces.rr))[w]))
+            need |= w & (pieces.peak_weight(nu) * bound > best_w + SUP_TOL)
+        mid = 0.5 * (pieces.l + pieces.r)
+        need &= (pieces.l < mid) & (mid < pieces.r)
+        if refined is None:
+            refined = int(np.count_nonzero(need))
+        if not need.any():
+            break
+        pieces, mid = pieces.take(need), mid[need]
+        qm, fm = _quantile_density(oracle, mid)
+        rm = fm * (rn * (qm - pieces.x)) - rn * (pieces.e - mid)
+        pieces = pieces.halves(mid, qm, rm, _weight(mid, nu))
+        margin = pieces.margin(score)
+
+    # R at each breakpoint: Q_n is left- and E_n right-continuous
+    values = np.empty_like(t)
+    values[0], values[-1] = rl[0], rr[-1]
+    values[1:-1] = (ft[1:-1] * (rn * (qt[1:-1] - x[:-1]))
+                    - rn * (e[1:] - t[1:-1]))
+    return ResidualSeries(
+        y_grid=t, values=values, sup_abs=float(best),
+        weighted_sup=float(best if nu == 0.0 else best_w), nu=nu,
+        interval=(a, b), n=n, seed=seed, min_margin=min_margin,
+        refined=refined)
+
+
+def _grid_series(summary, pit_summary, oracle, a, b, refine, nu, seed):
     grid = jump_grid(pit_summary, a, b, refine)
     vals = residual_values(summary, pit_summary, oracle, grid)
-    sup = float(np.abs(vals).max())
-    return ResidualSeries(y_grid=grid, values=vals, sup_abs=sup,
-                          weighted_sup=sup, nu=0.0, interval=(a, b),
-                          n=n, seed=seed)
+    w = _weight(grid, nu)
+    return ResidualSeries(y_grid=grid, values=vals,
+                          sup_abs=float(np.abs(vals).max()),
+                          weighted_sup=float((w * np.abs(vals)).max()),
+                          nu=nu, interval=(a, b), n=summary.n, seed=seed)
+
+
+def residual_sup(summary, pit_summary, oracle, a, b, refine=None, seed=None):
+    """Residual series and sup of |R| over (a, b), 0 < a < b < 1.
+
+    The sup is exact (module docstring); ``refine=<int>`` takes it over
+    the jump grid with that many uniform points instead, as a cross-check.
+    """
+    if refine is not None:
+        return _grid_series(summary, pit_summary, oracle, a, b, refine, 0.0,
+                            seed)
+    return _exact_sup(summary, pit_summary, oracle, (a, b), None, seed)
 
 
 def weighted_residual_sup(summary, pit_summary, oracle, nu, refine=None,
-                          gamma=None, seed=None):
+                          gamma=None, seed=None, interval=None):
     """Weighted sup of (y(1-y))^nu |R(y)| over (1/(n+1), n/(n+1)).
 
     The weight exponent must exceed max(2*gamma, 3*gamma - 2) for the
     model's gamma = min(gamma1, gamma2) >= 1; gamma is read from the
-    oracle metadata unless passed explicitly.
+    oracle metadata unless passed explicitly. ``sup_abs`` is the plain sup
+    over ``interval`` = (a, b), from the same breakpoint pass, and over
+    the weight interval when ``interval`` is None. ``refine=<int>`` takes
+    both sups over the jump grid of the weight interval instead, as a
+    cross-check; ``interval`` applies to the exact pass only.
     """
     if gamma is None:
         if oracle.gamma1 is None or oracle.gamma2 is None:
@@ -149,13 +393,9 @@ def weighted_residual_sup(summary, pit_summary, oracle, nu, refine=None,
             f"need nu > max(2*gamma, 3*gamma - 2) = {threshold}")
 
     n = summary.n
-    if refine is None:
-        refine = 4 * n
-    a, b = 1.0 / (n + 1), n / (n + 1.0)
-    grid = jump_grid(pit_summary, a, b, refine)
-    vals = residual_values(summary, pit_summary, oracle, grid)
-    w = _weight(grid, nu)
-    return ResidualSeries(y_grid=grid, values=vals,
-                          sup_abs=float(np.abs(vals).max()),
-                          weighted_sup=float((w * np.abs(vals)).max()),
-                          nu=float(nu), interval=(a, b), n=n, seed=seed)
+    ends = (1.0 / (n + 1), n / (n + 1.0))
+    if refine is not None:
+        return _grid_series(summary, pit_summary, oracle, *ends, refine,
+                            float(nu), seed)
+    plain = ends if interval is None else tuple(interval)
+    return _exact_sup(summary, pit_summary, oracle, plain, nu, seed)

@@ -64,6 +64,9 @@ def cmd_simulate(config, out_dir, threads, verbose):
 def cmd_rate_scan(config, out_dir, threads, verbose):
     result = run_rate_scan(config, threads=threads, out_dir=out_dir)
     if verbose:
+        for n, cert in result.certificates.items():
+            print(f"n={n}: min certificate margin={cert['min_margin']:.4g} "
+                  f"refined pieces={cert['refined']}", file=sys.stderr)
         for name, fit in result.fits.items():
             print(f"{name}: slope={fit.slope:+.4f} "
                   f"ratio_stability={fit.ratio_stability:.3f}")

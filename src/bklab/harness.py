@@ -15,7 +15,7 @@ import json
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
@@ -50,7 +50,6 @@ class ExperimentConfig:
     master_seed: int
     interval: tuple = (0.05, 0.95)
     nu: float | None = None
-    refine: int | None = None
     trunc_tol: float | None = None
     oracle: dict = field(default_factory=dict)
     simulate: dict = field(default_factory=dict)
@@ -67,8 +66,8 @@ class ExperimentConfig:
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
         a, b = self.interval
-        if not (0.0 <= a < b <= 1.0):
-            raise ConfigError(f"interval must satisfy 0 <= a < b <= 1, got {self.interval}")
+        if not (0.0 < a < b < 1.0):
+            raise ConfigError(f"interval must satisfy 0 < a < b < 1, got {self.interval}")
 
 
 def config_from_dict(d):
@@ -87,7 +86,6 @@ def config_from_dict(d):
             master_seed=int(scan["master_seed"]),
             interval=tuple(scan.get("interval", (0.05, 0.95))),
             nu=scan.get("nu"),
-            refine=scan.get("refine"),
             trunc_tol=scan.get("trunc_tol"),
             oracle=d.get("oracle", {}),
             simulate=d.get("simulate", {}),
@@ -307,13 +305,23 @@ class LilRow:
     lil_u: float
 
 
+def _sorted_pit(path, oracle, x_sorted):
+    """The PIT sample in ascending order, F(X_(1)) <= ... <= F(X_(n)).
+
+    F is nondecreasing, so the sorted sample needs no second sort; the
+    check catches an oracle whose rounding breaks monotonicity.
+    """
+    u = pit_transform(replace(path, x=x_sorted), oracle)
+    return u if np.all(np.diff(u) >= 0.0) else np.sort(u)
+
+
 def _lil_sample(model, oracle, config, n, r):
     """Sample summary, PIT summary and normalized sup row of cell (n, r)."""
     seed = mix_seed(config.master_seed, n, r)
     path = simulate_path(model, n, seed, trunc_tol=config.trunc_tol)
-    u = pit_transform(path, oracle)
     xs = EmpiricalSummary.from_sample(path.x, seed=seed)
-    us = EmpiricalSummary.from_sample(u, seed=seed)
+    us = EmpiricalSummary(n=n, sorted=_sorted_pit(path, oracle, xs.sorted),
+                          source_seed=seed)
     norm = math.sqrt(2.0 * math.log(math.log(n)))
     return xs, us, LilRow(n=n, replicate=r, seed=seed,
                           lil_beta=sup_abs_beta(xs, oracle) / norm,
@@ -366,24 +374,29 @@ class RateScanResult:
     rows: list
     per_n: dict     # n -> {stat: {"mean","median","max"}}
     fits: dict      # statistic name -> RateFit
+    certificates: dict  # n -> {"min_margin", "refined"} of the residual sups
 
 
 def _rate_cell(model, oracle, config, n, r):
+    """Row of cell (n, r) plus the certificate margin and refined-piece
+    count of its residual sup."""
     xs, us, lil = _lil_sample(model, oracle, config, n, r)
     seed = lil.seed
     a, b = config.interval
-    rs = residual_sup(xs, us, oracle, a, b, refine=config.refine, seed=seed)
-    if config.nu is not None:
-        ws = weighted_residual_sup(xs, us, oracle, config.nu,
-                                   refine=config.refine, seed=seed)
-        weighted = ws.weighted_sup
-    else:
+    if config.nu is None:
+        rs = residual_sup(xs, us, oracle, a, b, seed=seed)
         weighted = math.nan
+    else:
+        # one pass on the weight interval serves the plain sup on (a, b)
+        rs = weighted_residual_sup(xs, us, oracle, config.nu, seed=seed,
+                                   interval=(a, b))
+        weighted = rs.weighted_sup
     mid = abs(residual_pointwise(xs, us, oracle, 0.5))
-    return RateRow(
+    row = RateRow(
         n=n, replicate=r, seed=seed, sup_abs=rs.sup_abs,
         weighted_sup=weighted, pointwise_mid=mid,
         lil_beta=lil.lil_beta, lil_u=lil.lil_u)
+    return row, rs.min_margin, rs.refined
 
 
 def run_rate_scan(config, threads=1, out_dir=None):
@@ -395,8 +408,14 @@ def run_rate_scan(config, threads=1, out_dir=None):
     Aggregates medians/means/maxima per n and fits log-log slopes.
     """
     gate_conditions(config, build_model(config))
-    rows = map_cells(config, _rate_cell, config.n_grid, config.replicates,
-                     threads)
+    cells = map_cells(config, _rate_cell, config.n_grid, config.replicates,
+                      threads)
+    rows = [row for row, _, _ in cells]
+    certificates = {
+        n: {"min_margin": float(np.min([m for row, m, _ in cells
+                                        if row.n == n])),
+            "refined": sum(k for row, _, k in cells if row.n == n)}
+        for n in config.n_grid}
 
     per_n = {}
     for n in config.n_grid:
@@ -424,7 +443,8 @@ def run_rate_scan(config, threads=1, out_dir=None):
                   ["statistic", "slope", "intercept", "ratio_stability"],
                   [(name, fit.slope, fit.intercept, fit.ratio_stability)
                    for name, fit in fits.items()])
-    return RateScanResult(rows=rows, per_n=per_n, fits=fits)
+    return RateScanResult(rows=rows, per_n=per_n, fits=fits,
+                          certificates=certificates)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +518,7 @@ def _increment_cell(model, oracle, config, n, r, d_of, window_cells):
     d = d_of[n]
     seed = mix_seed(config.master_seed, n, r)
     path = simulate_path(model, n, seed, trunc_tol=config.trunc_tol)
-    us = np.sort(pit_transform(path, oracle))
+    us = _sorted_pit(path, oracle, np.sort(path.x))
     mod = increment_modulus(us, d, window_cells=window_cells)
     norm = math.sqrt(d * math.log(n) / n)
     return IncrementRow(n=n, replicate=r, seed=seed, d_n=d, modulus=mod,

@@ -23,7 +23,9 @@ class InnovationModel:
 
     Callables are vectorized over numpy arrays. ``moment_order`` is the
     largest a with E|eps|^a finite (inf allowed); ``smooth`` says whether
-    sup over the line of density + |f'| + |f''| is finite.
+    sup over the line of density + |f'| + |f''| is finite. ``score_bound``
+    is a pair (alpha, beta) with |f'/f|(z) <= alpha + beta |z| on the
+    interior of the support.
     """
 
     name: str
@@ -35,6 +37,7 @@ class InnovationModel:
     sampler: callable  # (rng, size) -> ndarray
     moment_order: float
     smooth: bool
+    score_bound: tuple
     scale: float = 1.0
 
     def sample(self, rng, size):
@@ -59,6 +62,7 @@ def _gaussian(scale=1.0):
         moment_order=math.inf,
         smooth=True,
         scale=s,
+        score_bound=(0.0, 1.0 / s**2),
     )
 
 
@@ -92,6 +96,7 @@ def _logistic(scale=1.0):
         moment_order=math.inf,
         smooth=True,
         scale=s,
+        score_bound=(1.0 / s, 0.0),
     )
 
 
@@ -116,6 +121,7 @@ def _uniform():
         sampler=lambda rng, size: rng.random(size),
         moment_order=math.inf,
         smooth=False,
+        score_bound=(0.0, 0.0),
     )
 
 
@@ -155,6 +161,7 @@ def _laplace(scale=1.0):
         moment_order=math.inf,
         smooth=False,
         scale=s,
+        score_bound=(1.0 / s, 0.0),
     )
 
 
@@ -182,6 +189,7 @@ def _exponential(scale=1.0):
         moment_order=math.inf,
         smooth=False,
         scale=s,
+        score_bound=(1.0 / s, 0.0),
     )
 
 

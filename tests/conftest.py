@@ -6,7 +6,7 @@ from bklab.harness import build_model, build_oracle, config_from_dict
 
 def make_config(innovation="gaussian", coefficients=None, rho=0.45,
                 gamma1=None, gamma2=None, n_grid=(64,), replicates=2,
-                master_seed=7, interval=(0.05, 0.95), nu=None, refine=None,
+                master_seed=7, interval=(0.05, 0.95), nu=None,
                 oracle=None, extra=None):
     d = {
         "version": 1,
@@ -22,7 +22,6 @@ def make_config(innovation="gaussian", coefficients=None, rho=0.45,
             "master_seed": master_seed,
             "interval": list(interval),
             "nu": nu,
-            "refine": refine,
         },
     }
     if gamma1 is not None:

@@ -1,18 +1,22 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bklab.bk import (ResidualSeries, csr_nu_min, rate_b,
+from bklab.bk import (ResidualSeries, _jump_slots, csr_nu_min, rate_b,
                       rate_kiefer_pointwise, rate_lambda, residual_pointwise,
-                      residual_sup, weighted_residual_sup)
-from bklab.coefficients import make_finite_coefficients
-from bklab.empirical import EmpiricalSummary, jump_grid
+                      residual_sup, residual_values, weighted_residual_sup)
+from bklab.coefficients import (make_finite_coefficients,
+                                make_power_law_coefficients)
+from bklab.empirical import EmpiricalSummary, equantile, jump_grid
 from bklab.errors import ModelError
 from bklab.innovations import get_innovation
-from bklab.model import LinearProcessModel, exact_marginal_oracle
+from bklab.model import (LinearProcessModel, build_marginal_oracle,
+                         exact_marginal_oracle)
 from bklab.paths import pit_transform, simulate_path
+from bklab.seeds import mix_seed
 
 
 class TestRates:
@@ -241,3 +245,211 @@ def test_series_csv_roundtrip(ma1_gaussian):
     assert text.startswith("# n=32 seed=3")
     assert "y,residual,weight,weighted_abs" in text
     assert len(text.strip().splitlines()) == series.y_grid.size + 2
+
+
+# ---------------------------------------------------------------------------
+# exact piecewise sup
+
+
+def summaries(model, oracle, n, seed):
+    p = simulate_path(model, n, seed=seed)
+    u = pit_transform(p, oracle)
+    return tuple(EmpiricalSummary.from_sample(v) for v in (p.x, u))
+
+
+def lipschitz(xs, oracle, y, score):
+    """sqrt(n) (2 + L d), with L = max score(Q(y)) and d = max |Q(y) - Q_n(y)|
+    over points y that sample both ends of every piece: a bound of |R'|."""
+    q = np.asarray(oracle.quantile(y))
+    d = np.max(np.abs(q - equantile(xs, y)))
+    return 1.01 * math.sqrt(xs.n) * (2.0 + np.max(score(q)) * d)
+
+
+def logistic_powerlaw():
+    model = LinearProcessModel(
+        innovations=get_innovation("logistic"),
+        coefficients=make_power_law_coefficients(3.0), rho=0.45,
+        gamma1=1.0, gamma2=1.0)
+    return model, build_marginal_oracle(model, mixture_points=500, seed=0)
+
+
+class TestExactSup:
+    @pytest.mark.parametrize("n, replicate, grid_sup",
+                             [(16, 1, 0.82387), (256, 0, 0.67327)])
+    def test_includes_interval_end_limits(self, iid_uniform, n, replicate,
+                                          grid_sup):
+        # both cells have their sup at R(0.05+), which the grid misses
+        model, oracle = iid_uniform
+        xs, us = summaries(model, oracle, n, mix_seed(11, n, replicate))
+        a, b = 0.05, 0.95
+        series = residual_sup(xs, us, oracle, a, b)
+        ends = np.abs(residual_values(xs, us, oracle,
+                                      np.array([a + 1e-12, b - 1e-12])))
+        assert series.sup_abs >= ends.max() - 1e-12
+        grid = residual_sup(xs, us, oracle, a, b, refine=4 * n)
+        assert grid.sup_abs == pytest.approx(grid_sup, abs=1e-5)
+        assert series.sup_abs > grid.sup_abs + 0.009
+
+    def test_ties_against_exact_arithmetic(self, iid_uniform):
+        # n = 20: a = 0.05 and b = 0.95 are jumps k/n, several order
+        # statistics sit on jumps and two pairs are tied
+        model, oracle = iid_uniform
+        sample = [0.05, 0.1, 0.1, 0.25, 0.3, 0.33, 0.5, 0.5, 0.55, 0.6,
+                  0.65, 0.7, 0.72, 0.8, 0.85, 0.9, 0.93, 0.95, 0.97, 0.99]
+        n = len(sample)
+        xs = EmpiricalSummary.from_sample(sample)
+        a, b = 0.05, 0.95
+        # Q(y) = y and f = 1, so R is linear between breakpoints and its
+        # sup is the largest one-sided limit or point value
+        xr = sorted(Fraction(v) for v in sample)
+        ar, br = Fraction(a), Fraction(b)
+        eps = Fraction(1, 10 ** 40)
+
+        def r_exact(y):
+            k = math.ceil(n * y)
+            count = sum(v <= y for v in xr)
+            return (y - xr[k - 1]) - (Fraction(count, n) - y)
+
+        points = sorted({Fraction(k, n) for k in range(1, n)} | set(xr)
+                        | {ar, br})
+        vals = []
+        for t in points:
+            if ar < t <= br:
+                vals.append(r_exact(t - eps))
+            if ar <= t < br:
+                vals.append(r_exact(t + eps))
+            if ar < t < br:
+                vals.append(r_exact(t))
+        brute = math.sqrt(n) * max(abs(float(v)) for v in vals)
+        series = residual_sup(xs, xs, oracle, a, b)
+        assert series.sup_abs == pytest.approx(brute, abs=1e-12)
+        assert series.min_margin == 2.0 and series.refined == 0
+
+    def test_jump_slots_match_float_comparisons(self):
+        rng = np.random.default_rng(3)
+        for n in (3, 10, 20, 49, 100, 1000, 4096):
+            jumps = np.arange(1, n) / n
+            v = np.concatenate([jumps, np.nextafter(jumps, 0.0),
+                                np.nextafter(jumps, 1.0), rng.random(200),
+                                [1e-15, 1.0 - 1e-15]])
+            below = (jumps[None, :] < v[:, None]).sum(axis=1)
+            at_or_below = (jumps[None, :] <= v[:, None]).sum(axis=1)
+            assert np.array_equal(_jump_slots(v, n, strict=True), below)
+            assert np.array_equal(_jump_slots(v, n, strict=False),
+                                  at_or_below)
+
+    @pytest.mark.parametrize("n", [16, 64, 4096])
+    def test_one_pass_matches_separate_sups(self, powerlaw_gaussian, n):
+        model, oracle = powerlaw_gaussian
+        for seed in range(5):
+            xs, us = summaries(model, oracle, n, seed)
+            both = weighted_residual_sup(xs, us, oracle, 2.5,
+                                         interval=(0.05, 0.95))
+            plain = residual_sup(xs, us, oracle, 0.05, 0.95)
+            weighted = weighted_residual_sup(xs, us, oracle, 2.5)
+            assert both.sup_abs == pytest.approx(plain.sup_abs, abs=1e-12)
+            assert both.weighted_sup == pytest.approx(weighted.weighted_sup,
+                                                      abs=1e-12)
+
+    @pytest.mark.parametrize("innovation, replicate", [("uniform", 56),
+                                                       ("logistic", 290)])
+    def test_weighted_sup_inside_a_piece(self, innovation, replicate):
+        # in these cells (y(1-y))^nu |R| peaks inside a certified piece,
+        # above every breakpoint limit, so only bisection finds it
+        model = LinearProcessModel(
+            innovations=get_innovation(innovation),
+            coefficients=make_finite_coefficients([1.0]), rho=0.3)
+        oracle = build_marginal_oracle(model, mixture_points=1, seed=0)
+        n, nu = 16, 2.5
+        xs, us = summaries(model, oracle, n, mix_seed(5, n, replicate))
+        series = weighted_residual_sup(xs, us, oracle, nu, gamma=1.0)
+        lo, hi = series.interval
+        limits = jump_grid(us, lo, hi, 0)
+        fine = np.concatenate([limits, np.linspace(lo, hi, 200_001)[1:-1]])
+        on_limits, on_fine = ((y * (1 - y)) ** nu * np.abs(
+            residual_values(xs, us, oracle, y)) for y in (limits, fine))
+        assert on_fine.max() > on_limits.max() + 1e-7
+        assert series.weighted_sup >= on_fine.max() - 1e-12
+        assert series.weighted_sup - on_fine.max() < 1e-8
+        assert series.refined > 0
+
+    def test_exact_sup_rejects_closed_ends(self, iid_uniform):
+        model, oracle = iid_uniform
+        xs, us = summaries(model, oracle, 64, 1)
+        with pytest.raises(ValueError, match="0 < a < b < 1"):
+            residual_sup(xs, us, oracle, 0.0, 0.5)
+        assert residual_sup(xs, us, oracle, 0.0, 0.5, refine=8).sup_abs > 0
+
+    def test_non_smooth_mixture_rejected(self):
+        # MA(1) uniform: f' of a mixture over several points is not the
+        # mixture of f_eps', so no piece can be certified
+        model = LinearProcessModel(
+            innovations=get_innovation("uniform"),
+            coefficients=make_finite_coefficients([1.0, 0.5]), rho=0.3)
+        oracle = build_marginal_oracle(model, mixture_points=200, seed=0)
+        xs, us = summaries(model, oracle, 64, 1)
+        with pytest.raises(ModelError, match="smooth"):
+            residual_sup(xs, us, oracle, 0.05, 0.95)
+
+
+# model name -> (oracle fixture, or None for the logistic mixture; n values)
+CROSS_CHECK = {
+    "gaussian-powerlaw": ("powerlaw_gaussian", (2 ** 14,)),
+    "iid-uniform": ("iid_uniform", (2 ** 14,)),
+    "logistic-powerlaw": (None, (16, 24)),
+}
+
+
+@pytest.mark.parametrize("name", list(CROSS_CHECK))
+def test_exact_sup_against_refinement_grids(request, name):
+    """Over 20 seeds per n: the grid sups never exceed the exact ones, and
+    the exact ones exceed them by at most the Lipschitz bound of R times
+    the distance from the sup to the grid: 2e-12 when the sup sits at a
+    breakpoint limit (no piece was bisected; the interval-end limits are
+    added to the grid), the grid spacing h = (b - a)/(refine + 1)
+    otherwise."""
+    fixture, n_values = CROSS_CHECK[name]
+    if fixture is None:
+        model, oracle = logistic_powerlaw()
+        score = lambda q: np.ones_like(q)
+    else:
+        model, oracle = request.getfixturevalue(fixture)
+        sigma = oracle.sigma_exact
+        score = ((lambda q: np.abs(q) / sigma ** 2) if sigma is not None
+                 else (lambda q: np.zeros_like(q)))
+    nu, a, b = 2.5, 0.05, 0.95
+    refined = 0
+    for n in n_values:
+        lo, hi = 1.0 / (n + 1), n / (n + 1.0)
+        for r in range(20):
+            xs, us = summaries(model, oracle, n, mix_seed(41, n, r))
+            plain = residual_sup(xs, us, oracle, a, b)
+            weighted = weighted_residual_sup(xs, us, oracle, nu, gamma=1.0)
+            refined += plain.refined
+            ends = np.array([a + 1e-12, b - 1e-12])
+            lip = lipschitz(xs, oracle, np.concatenate(
+                [jump_grid(us, a, b, 0), ends]), score)
+            lip_w = lipschitz(xs, oracle, np.concatenate(
+                [jump_grid(us, lo, hi, 0), [lo + 1e-12, hi - 1e-12]]), score)
+            # |(w |R|)'| <= max w |R'| + max |w'| sup |R|
+            lip_w = (4.0 ** -nu * lip_w
+                     + nu * 4.0 ** (1 - nu) * weighted.sup_abs)
+            end_sup = np.abs(residual_values(xs, us, oracle, ends)).max()
+            for refine in (4 * n, 8 * n):
+                g = residual_sup(xs, us, oracle, a, b, refine=refine)
+                gw = weighted_residual_sup(xs, us, oracle, nu, gamma=1.0,
+                                           refine=refine)
+                grid_end = max(g.sup_abs, end_sup)
+                assert plain.sup_abs >= g.sup_abs - 1e-12
+                step = 2e-12 if plain.refined == 0 else (b - a) / (refine + 1)
+                assert plain.sup_abs - grid_end <= lip * step + 1e-12
+
+                assert weighted.weighted_sup >= gw.weighted_sup - 1e-12
+                step = (2e-12 if weighted.refined == 0
+                        else (hi - lo) / (refine + 1))
+                assert (weighted.weighted_sup - gw.weighted_sup
+                        <= lip_w * step + 1e-12)
+    if fixture is None:
+        # the logistic mixture has pieces whose certificate fails and that
+        # the plain sup must bisect
+        assert refined > 0

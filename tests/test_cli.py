@@ -111,6 +111,20 @@ def test_rate_scan_byte_identical(tmp_path):
         assert b1 == b2
 
 
+def test_rate_scan_verbose_reports_certificates(tmp_path, capsys):
+    cfg = write_config(tmp_path, make_config(
+        innovation="uniform", rho=0.3, n_grid=(16, 32), replicates=2,
+        master_seed=5))
+    assert main(["rate-scan", "--config", cfg, "--out",
+                 str(tmp_path / "out"), "--verbose"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"n={n}: min certificate margin=2 refined pieces=0"
+                   for n in (16, 32)]
+    header = (tmp_path / "out" / "rate_scan.csv").read_text().splitlines()[0]
+    assert header == ("n,replicate,seed,sup_abs,weighted_sup,pointwise_mid,"
+                      "lil_beta,lil_u")
+
+
 def test_lil_scan_outputs(tmp_path):
     cfg = write_config(tmp_path, make_config(
         innovation="uniform", rho=0.3, n_grid=(16, 32), replicates=2,

@@ -77,6 +77,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="interval"):
             config_from_dict(make_config(interval=(0.9, 0.1)))
 
+    @pytest.mark.parametrize("interval", [(0.0, 0.95), (0.05, 1.0)])
+    def test_interval_ends_must_be_open(self, interval):
+        # the exact residual sup takes one-sided limits at both ends
+        with pytest.raises(ConfigError, match="0 < a < b < 1"):
+            config_from_dict(make_config(interval=interval))
+
     def test_unknown_innovation_is_config_error(self):
         cfg = config_from_dict(make_config(innovation="cauchy"))
         with pytest.raises(ConfigError, match="cauchy"):
@@ -149,6 +155,14 @@ class TestRateScan:
         assert row.lil_u == pytest.approx(sup_abs_u(us) / norm, abs=1e-12)
         # under the exact PIT the two normalized sups coincide
         assert row.lil_beta == pytest.approx(row.lil_u, abs=1e-12)
+
+    def test_certificates_per_n(self):
+        cfg = make_config(innovation="uniform", rho=0.3, n_grid=(16, 32),
+                          replicates=2, master_seed=3)
+        res = run_rate_scan(config_from_dict(cfg))
+        # f = 1 on (0, 1): every piece is certified with margin 2
+        assert res.certificates == {
+            n: {"min_margin": 2.0, "refined": 0} for n in (16, 32)}
 
     def test_gate_failure_aborts(self):
         cfg = config_from_dict(make_config(
@@ -337,3 +351,29 @@ def test_manifest_contents(tmp_path):
                                      [16, 1, mix_seed(31, 16, 1)]]
     assert "splitmix64" in data["seed_mixing"]
     assert data["config"]["scan"]["master_seed"] == 31
+
+
+class TestSortedPit:
+    def test_matches_sorted_pit(self, powerlaw_gaussian):
+        logistic = config_from_dict(make_config(
+            innovation="logistic", rho=0.45, **POWER_LAW,
+            oracle={"mode": "mixture", "mixture_points": 500, "seed": 0}))
+        model = build_model(logistic)
+        for model, oracle in (powerlaw_gaussian,
+                              (model, build_oracle(model, logistic))):
+            p = simulate_path(model, 300, seed=17)
+            u = harness._sorted_pit(p, oracle, np.sort(p.x))
+            assert np.array_equal(u, np.sort(pit_transform(p, oracle)))
+
+    def test_sorts_when_cdf_rounding_breaks_order(self, powerlaw_gaussian):
+        model, oracle = powerlaw_gaussian
+
+        class Decreasing:
+            model_id = oracle.model_id
+
+            def cdf(self, x):
+                return oracle.cdf(-np.asarray(x))
+
+        p = simulate_path(model, 50, seed=2)
+        u = harness._sorted_pit(p, Decreasing(), np.sort(p.x))
+        assert np.array_equal(u, np.sort(pit_transform(p, Decreasing())))
