@@ -28,12 +28,15 @@ pieces, bounding (y(1-y))^nu |R| on a piece by the largest weight on it
 times the piece's bound of |R|. The result is the largest value attained,
 within ``SUP_TOL`` of the supremum of the served oracle functions.
 
-L comes from the oracle: |x|/sigma^2 for the exact Gaussian oracle, and
-alpha + beta (|x| + max |s_j|) for a mixture over predictor points s_j of
-an innovation with |f_eps'/f_eps|(z) <= alpha + beta |z|, because
-f' = mean_j f_eps'(x - s_j); a mixture over several points needs a smooth
-innovation density for that identity, and is a ModelError otherwise (the
-same models the harness's smoothness gate rejects).
+L comes from the oracle (:func:`_score_bound`): |x|/sigma^2 for the exact
+Gaussian oracle; alpha + beta (|x| + max |s_j|) for a mixture over
+predictor points s_j of an innovation with |f_eps'/f_eps|(z) <= alpha +
+beta |z|, because f' = mean_j f_eps'(x - s_j); and for the Fourier engine
+the innovation's bounded score alpha, widened by the engine's error bounds
+relative to the smallest density at the ends of the sup's range. A
+mixture over several points or the engine needs a smooth innovation
+density, and is a ModelError otherwise (the same models the harness's
+smoothness gate rejects).
 
 ``refine=<int>`` selects the brute-force grid instead: both one-sided
 limits at every jump, sampled 1e-12 to either side, plus ``refine``
@@ -159,11 +162,42 @@ def residual_pointwise(summary, pit_summary, oracle, y):
 # exact piecewise sup
 
 
-def _score_bound(oracle):
+def _score_bound(oracle, f_ends):
     """(alpha, beta, shift) with |f'/f|(x) <= alpha + beta (|x| + shift)
-    for the oracle's served density."""
+    for the oracle's served density, at every x between the quantiles of
+    the sup's outermost breakpoints, where the served density is
+    ``f_ends`` (the smaller of its two values there).
+
+    For the Fourier engine, let g be the wrapped true density
+    sum_m f(x + 2mD), which the series approximates. The innovation's
+    score is bounded, |f_eps'/f_eps| <= a, and f = E f_eps(x - P) gives
+    |f'| <= a f for every translate, so |g'| <= a g. The served f_s and
+    f_s' differ from g and g' by at most E0 and E1 (``density_error``,
+    ``deriv_error``: series truncation bounds plus the interpolation
+    error measured at build). The true density is log-concave (a sum of
+    independent log-concave terms), so between the two outermost
+    quantiles it is at least its smaller end value, and g - f <= a alias
+    (f <= a min(F, 1 - F)); hence f_s >= floor = f_ends - 2 E0 - a alias
+    there. Then |f_s'| <= a g + E1 <= a (f_s + E0) + E1, and
+    |f_s'/f_s| <= a + (a E0 + E1) / floor.
+    """
     if oracle.use_exact:
         return 0.0, 1.0 / oracle.sigma_exact ** 2, 0.0
+    engine = oracle.engine
+    if engine is not None:
+        a, b = oracle.innovation.score_bound
+        if b != 0.0:
+            raise ModelError(
+                f"the exact residual sup over a fourier oracle needs a "
+                f"bounded innovation score; {oracle.innovation.name!r} has "
+                f"none (Gaussian innovations have the exact oracle)")
+        floor = f_ends - 2.0 * engine.density_error - a * engine.alias
+        if not floor > 0.0:
+            raise ModelError(
+                f"density {f_ends:.3g} at the ends of the sup's range is "
+                f"within the Fourier engine's error bound")
+        e0, e1 = engine.density_error, engine.deriv_error
+        return a + (a * e0 + e1) / floor, 0.0, 0.0
     points = oracle.mixture_points
     innov = oracle.innovation
     if points.size > 1 and not innov.smooth:
@@ -307,7 +341,7 @@ def _exact_sup(summary, pit_summary, oracle, plain, nu, seed):
     wt = _weight(t, nu)
     pieces = _Pieces(t[:-1], t[1:], qt[:-1], qt[1:], rl, rr, wt[:-1], wt[1:],
                      x, e, *in_range)
-    score = _score_bound(oracle)
+    score = _score_bound(oracle, float(min(ft[0], ft[-1])))
     margin = pieces.margin(score)
     min_margin = float(np.min(margin[in_range[0] | in_range[1]]))
     best = best_w = 0.0

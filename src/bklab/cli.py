@@ -105,7 +105,9 @@ def cmd_check_model(config, out_dir, threads, verbose):
     smooth = validate_innovation(model.innovations)
     print(smooth.describe())
     gate_conditions(config, model)
-    build_oracle(model, config)
+    oracle = build_oracle(model, config)
+    print(f"oracle: {oracle.kind}, CDF error bound "
+          f"{oracle.cdf_error_bound:.3g}")
     print("model accepted")
     return 0
 

@@ -33,6 +33,7 @@ from scipy.special import ndtr
 
 from .coefficients import truncation_horizon
 from .errors import ModelError, NumericalError
+from .model import fourier_series, half_period, log_cf, series_length
 from .paths import truncate_path, truncation_lags
 
 # ---------------------------------------------------------------------------
@@ -80,18 +81,39 @@ def y_summands(path, oracle, x):
 class TruncatedMarginals:
     """CDFs of the lag-truncated process, one per retained-lag count.
 
-    For Gaussian innovations the CDF is exact; otherwise each lag count
-    gets its own Monte Carlo mixture (cached). A lag count that retains
+    For Gaussian innovations the CDF is exact. Otherwise it is the Fourier
+    series of the model module's marginal engine evaluated at the
+    requested points, with phi = prod_{k<L} phi_eps(c_k t) and no top-up:
+    the full model's half-period covers every L (each factor
+    E exp(theta c_k eps) >= 1), and the term count comes from phi_eps
+    alone, which decays slowest (every |phi_eps(c_k t)| <= 1). A smooth
+    innovation law is needed for that series. A lag count that retains
     every nonzero coefficient serves the full-marginal oracle so the
     truncated summands reduce to the exact ones.
     """
 
-    def __init__(self, model, oracle, mixture_points=20_000, seed=1):
+    def __init__(self, model, oracle):
         self.model = model
         self.oracle = oracle
-        self.mixture_points = int(mixture_points)
-        self.seed = int(seed)
-        self._cache = {}
+        self._series = None
+
+    def _grid(self):
+        """Half-period and term count of the series, built once."""
+        if self._series is None:
+            innov = self.model.innovations
+            if not innov.smooth:
+                raise ModelError(
+                    f"truncated marginals need a smooth innovation density; "
+                    f"{innov.name!r} is not smooth")
+            coeffs = self.model.coefficients
+            K = truncation_horizon(coeffs, 1e-6 * max(
+                math.sqrt(coeffs.sum_sq), 1e-12))
+            half = half_period(innov, coeffs.weights(K),
+                               coeffs.tail_sq(K + 1) * innov.scale ** 2)[0]
+            n_terms = series_length(
+                lambda t: log_cf(innov, [1.0], 0.0, t), math.pi / half)[0]
+            self._series = half, n_terms
+        return self._series
 
     def cdf(self, lag_count, x):
         """P(X-hat <= x) where X-hat keeps lags 0 .. lag_count-1."""
@@ -108,15 +130,12 @@ class TruncatedMarginals:
             var = coeffs.tail_sq(0) - coeffs.tail_sq(L)
             return ndtr(np.asarray(x, dtype=float)
                         / (innov.scale * math.sqrt(var)))
-        s = self._cache.get(L)
-        if s is None:
-            rng = np.random.default_rng(self.seed + L)
-            w = coeffs.weights(L - 1)[1:]
-            s = innov.sample(rng, (self.mixture_points, w.size)) @ w
-            self._cache[L] = s
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = innov.cdf(x_arr[:, None] - s[None, :]).mean(axis=1)
-        return float(out[0]) if np.asarray(x).shape == () else out
+        half, n_terms = self._grid()
+        weights = coeffs.weights(L - 1)
+        x_arr = np.asarray(x, dtype=float)
+        out = fourier_series(lambda t: log_cf(innov, weights, 0.0, t),
+                             x_arr.ravel(), half, n_terms)[0]
+        return float(out[0]) if x_arr.shape == () else out.reshape(x_arr.shape)
 
 
 def truncated_summands(path, trunc_marginals, rho, x):

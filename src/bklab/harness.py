@@ -131,6 +131,9 @@ def build_model(config):
 
 
 def build_oracle(model, config):
+    """The config's oracle. ``auto`` picks the exact oracle for Gaussian
+    innovations, the single-point oracle for a memoryless kernel and the
+    Fourier engine otherwise; ``mixture`` is the Monte Carlo cross-check."""
     spec = config.oracle
     mode = spec.get("mode", "auto")
     if mode == "exact":
@@ -144,9 +147,7 @@ def build_oracle(model, config):
             return exact_marginal_oracle(model)
         if model.coefficients.memory == 0:
             return build_marginal_oracle(model, mixture_points=1, seed=0)
-        return build_marginal_oracle(
-            model, mixture_points=spec.get("mixture_points", 100_000),
-            seed=spec.get("seed", 0), trunc_tol=spec.get("trunc_tol"))
+        return build_marginal_oracle(model, trunc_tol=spec.get("trunc_tol"))
     raise ConfigError(f"unknown oracle mode {mode!r}")
 
 
@@ -632,6 +633,13 @@ def run_covariance_check(config, x_grid=None, threads=1, out_dir=None):
 # manifest
 
 
+def oracle_summary(config):
+    """Kind and CDF error bound of the config's oracle; both depend on the
+    config alone."""
+    oracle = build_oracle(build_model(config), config)
+    return {"kind": oracle.kind, "cdf_error_bound": oracle.cdf_error_bound}
+
+
 def write_manifest(config, command, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     import scipy
@@ -649,6 +657,8 @@ def write_manifest(config, command, out_dir):
         "library_versions": {"numpy": np.__version__,
                              "scipy": scipy.__version__},
     }
+    if command != "simulate":
+        manifest["oracle"] = oracle_summary(config)
     with open(os.path.join(out_dir, "run_manifest.json"), "w",
               encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

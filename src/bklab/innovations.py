@@ -6,6 +6,8 @@ metadata. The smoothness flag records whether the density and its first
 two derivatives are bounded on the whole line; laws with kinks or jumps
 (uniform, Laplace, exponential) declare ``smooth=False`` and are also
 caught numerically by :func:`validate_innovation` in the model module.
+Each law also declares its characteristic function in closed form, which
+the Fourier marginal engine of the model module inverts.
 """
 
 import math
@@ -25,7 +27,10 @@ class InnovationModel:
     largest a with E|eps|^a finite (inf allowed); ``smooth`` says whether
     sup over the line of density + |f'| + |f''| is finite. ``score_bound``
     is a pair (alpha, beta) with |f'/f|(z) <= alpha + beta |z| on the
-    interior of the support.
+    interior of the support. ``cf`` is the characteristic function
+    E exp(i t eps); its closed form also accepts complex t, and at
+    t = -i theta it is the moment generating function E exp(theta eps)
+    wherever that is finite.
     """
 
     name: str
@@ -38,6 +43,7 @@ class InnovationModel:
     moment_order: float
     smooth: bool
     score_bound: tuple
+    cf: callable
     scale: float = 1.0
 
     def sample(self, rng, size):
@@ -63,6 +69,7 @@ def _gaussian(scale=1.0):
         smooth=True,
         scale=s,
         score_bound=(0.0, 1.0 / s**2),
+        cf=lambda t: np.exp(-0.5 * (s * np.asarray(t)) ** 2),
     )
 
 
@@ -84,6 +91,15 @@ def _logistic(scale=1.0):
         p = cdf(x)
         return p * (1.0 - p) * (1.0 - 6.0 * p + 6.0 * p * p) / s**3
 
+    def cf(t):
+        # z / sinh(z) at z = pi s t, even in z; written with exp(-w) for
+        # Re w >= 0 so that large |t| underflows to 0 instead of overflowing
+        z = np.pi * s * np.asarray(t)
+        w = np.where(np.real(z) < 0.0, -z, z)
+        with np.errstate(invalid="ignore"):
+            out = 2.0 * w * np.exp(-w) / -np.expm1(-2.0 * w)
+        return np.where(w == 0.0, 1.0, out)
+
     return InnovationModel(
         name="logistic",
         cdf=cdf,
@@ -97,6 +113,7 @@ def _logistic(scale=1.0):
         smooth=True,
         scale=s,
         score_bound=(1.0 / s, 0.0),
+        cf=cf,
     )
 
 
@@ -111,6 +128,12 @@ def _uniform():
         return np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0)
 
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+
+    def cf(t):
+        it = 1j * np.asarray(t)
+        with np.errstate(invalid="ignore"):
+            return np.where(it == 0.0, 1.0, np.expm1(it) / it)
+
     return InnovationModel(
         name="uniform",
         cdf=cdf,
@@ -122,6 +145,7 @@ def _uniform():
         moment_order=math.inf,
         smooth=False,
         score_bound=(0.0, 0.0),
+        cf=cf,
     )
 
 
@@ -162,6 +186,7 @@ def _laplace(scale=1.0):
         smooth=False,
         scale=s,
         score_bound=(1.0 / s, 0.0),
+        cf=lambda t: 1.0 / (1.0 + (s * np.asarray(t)) ** 2),
     )
 
 
@@ -190,6 +215,7 @@ def _exponential(scale=1.0):
         smooth=False,
         scale=s,
         score_bound=(1.0 / s, 0.0),
+        cf=lambda t: 1.0 / (1.0 - 1j * s * np.asarray(t)),
     )
 
 

@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bklab.bk import (ResidualSeries, _jump_slots, csr_nu_min, rate_b,
-                      rate_kiefer_pointwise, rate_lambda, residual_pointwise,
-                      residual_sup, residual_values, weighted_residual_sup)
+from bklab.bk import (ResidualSeries, _jump_slots, _score_bound, csr_nu_min,
+                      rate_b, rate_kiefer_pointwise, rate_lambda,
+                      residual_pointwise, residual_sup, residual_values,
+                      weighted_residual_sup)
 from bklab.coefficients import (make_finite_coefficients,
                                 make_power_law_coefficients)
 from bklab.empirical import EmpiricalSummary, equantile, jump_grid
@@ -392,11 +393,18 @@ class TestExactSup:
             residual_sup(xs, us, oracle, 0.05, 0.95)
 
 
-# model name -> (oracle fixture, or None for the logistic mixture; n values)
+def logistic_powerlaw_fourier():
+    model = logistic_powerlaw()[0]
+    return model, build_marginal_oracle(model)
+
+
+# model name -> (oracle fixture, None for the logistic mixture or a builder
+# of a logistic oracle; n values)
 CROSS_CHECK = {
     "gaussian-powerlaw": ("powerlaw_gaussian", (2 ** 14,)),
     "iid-uniform": ("iid_uniform", (2 ** 14,)),
     "logistic-powerlaw": (None, (16, 24)),
+    "logistic-powerlaw-fourier": (logistic_powerlaw_fourier, (16, 24)),
 }
 
 
@@ -409,8 +417,8 @@ def test_exact_sup_against_refinement_grids(request, name):
     added to the grid), the grid spacing h = (b - a)/(refine + 1)
     otherwise."""
     fixture, n_values = CROSS_CHECK[name]
-    if fixture is None:
-        model, oracle = logistic_powerlaw()
+    if not isinstance(fixture, str):
+        model, oracle = (fixture or logistic_powerlaw)()
         score = lambda q: np.ones_like(q)
     else:
         model, oracle = request.getfixturevalue(fixture)
@@ -449,7 +457,33 @@ def test_exact_sup_against_refinement_grids(request, name):
                         else (hi - lo) / (refine + 1))
                 assert (weighted.weighted_sup - gw.weighted_sup
                         <= lip_w * step + 1e-12)
-    if fixture is None:
-        # the logistic mixture has pieces whose certificate fails and that
+    if not isinstance(fixture, str):
+        # the logistic oracles have pieces whose certificate fails and that
         # the plain sup must bisect
         assert refined > 0
+
+
+class TestFourierCertificate:
+    def test_bounds_the_served_score(self):
+        model, oracle = logistic_powerlaw_fourier()
+        lo, hi = oracle.quantile(np.array([1e-6, 1.0 - 1e-6]))
+        f_ends = float(np.min(oracle.pdf(np.array([lo, hi]))))
+        alpha, beta, shift = _score_bound(oracle, f_ends)
+        assert beta == 0.0 and shift == 0.0
+        assert 1.0 < alpha < 1.0 + 1e-6  # logistic scale 1, widened
+        x = np.linspace(lo, hi, 400_001)
+        j, t = oracle.engine._cell(x)
+        f, df = oracle.engine._pdf_at(j, t), oracle.engine._deriv_at(j, t)
+        assert np.max(np.abs(df / f)) <= alpha
+
+    def test_needs_density_above_engine_error(self):
+        _, oracle = logistic_powerlaw_fourier()
+        with pytest.raises(ModelError, match="Fourier"):
+            _score_bound(oracle, 1e-15)
+
+    def test_gaussian_engine_has_no_bounded_score(self):
+        model = LinearProcessModel(
+            innovations=get_innovation("gaussian"),
+            coefficients=make_power_law_coefficients(3.0), rho=0.45)
+        with pytest.raises(ModelError, match="bounded innovation score"):
+            _score_bound(build_marginal_oracle(model), 0.1)

@@ -36,6 +36,17 @@ def test_check_model_accepts_good_model(tmp_path, capsys):
     assert "admissible" in out
 
 
+def test_check_model_prints_oracle(tmp_path, capsys):
+    cfg = write_config(tmp_path, make_config(
+        innovation="logistic", coefficients={"kind": "power_law", "tau": 3.0},
+        rho=0.45, n_grid=(16,), replicates=1))
+    assert main(["check-model", "--config", cfg]) == 0
+    line = [text for text in capsys.readouterr().out.splitlines()
+            if text.startswith("oracle:")]
+    assert len(line) == 1 and line[0].startswith("oracle: fourier, CDF error")
+    assert float(line[0].rsplit(" ", 1)[1]) <= 1e-12
+
+
 def test_check_model_rejects_small_tau(tmp_path, capsys):
     cfg = write_config(tmp_path, make_config(
         coefficients={"kind": "power_law", "tau": 2.0}, rho=0.45,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import ndtr
 
 from bklab.coefficients import (make_finite_coefficients,
@@ -112,6 +113,35 @@ class TestDecompose:
         p = simulate_path(model, 50, seed=1)
         with pytest.raises(ValueError):
             decompose(p, wrong, 0.0)
+
+
+class TestTruncatedMarginals:
+    def test_logistic_series_matches_quadrature(self):
+        model = LinearProcessModel(
+            innovations=get_innovation("logistic"),
+            coefficients=make_power_law_coefficients(3.0), rho=0.45)
+        oracle = build_marginal_oracle(model)
+        tm = TruncatedMarginals(model, oracle)
+        innov = model.innovations
+        c1 = float(model.coefficients.eval(1))
+        x = np.array([-2.0, 0.3, 1.5])
+        # two lags: P(eps_0 + c_1 eps_1 <= x) as a 1-d integral
+        ref = [quad(lambda e: float(innov.cdf(v - c1 * e) * innov.pdf(e)),
+                    -40.0, 40.0, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+               for v in x]
+        assert np.max(np.abs(tm.cdf(2, x) - ref)) < 1e-13
+        assert isinstance(tm.cdf(2, 0.3), float)
+        # long truncations approach the full marginal
+        assert np.max(np.abs(tm.cdf(4096, x) - oracle.cdf(x))) < 1e-12
+
+    def test_non_smooth_innovation_rejected(self):
+        model = LinearProcessModel(
+            innovations=get_innovation("uniform"),
+            coefficients=make_finite_coefficients([1.0, 0.5, 0.25]),
+            rho=0.3)
+        tm = TruncatedMarginals(model, None)
+        with pytest.raises(ModelError, match="smooth"):
+            tm.cdf(2, 0.5)
 
 
 class TestTruncatedSummands:

@@ -238,6 +238,48 @@ def test_threads_equivalence(tmp_path, command):
             (tmp_path / "2" / name).read_bytes()
 
 
+def test_logistic_powerlaw_rate_scan(tmp_path):
+    # a dependent non-Gaussian model, served by the Fourier engine
+    config = make_config(innovation="logistic", rho=0.45, n_grid=(4096,),
+                         replicates=1, master_seed=15, **POWER_LAW)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    for threads in ("1", "2"):
+        assert cli_main(["rate-scan", "--config", str(path), "--out",
+                         str(tmp_path / threads), "--threads", threads]) == 0
+    for name in ("rate_scan.csv", "run_manifest.json"):
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes()
+    header, row = (tmp_path / "1" / "rate_scan.csv").read_text().split()
+    values = dict(zip(header.split(","), map(float, row.split(","))))
+    for stat in ("sup_abs", "pointwise_mid", "lil_beta", "lil_u"):
+        assert math.isfinite(values[stat]) and values[stat] > 0.0
+    oracle = json.loads((tmp_path / "1" / "run_manifest.json")
+                        .read_text())["oracle"]
+    assert oracle["kind"] == "fourier"
+    assert 0.0 < oracle["cdf_error_bound"] <= 1e-12
+
+
+@pytest.mark.parametrize("model, kind", [
+    ({"innovation": "uniform", "rho": 0.3}, "single-point"),
+    (POWER_LAW, "exact"),
+    (dict(innovation="logistic", **POWER_LAW), "fourier"),
+    (dict(innovation="logistic", oracle={"mode": "mixture",
+                                         "mixture_points": 2000},
+          **POWER_LAW), "mixture"),
+])
+def test_manifest_records_oracle(tmp_path, model, kind):
+    cfg = config_from_dict(make_config(n_grid=(16,), replicates=1, **model))
+    write_manifest(cfg, "rate-scan", str(tmp_path))
+    oracle = json.loads((tmp_path / "run_manifest.json").read_text())["oracle"]
+    assert oracle["kind"] == kind
+    bound = oracle["cdf_error_bound"]
+    assert bound == 0.0 if kind in ("single-point", "exact") else bound > 0.0
+    write_manifest(cfg, "simulate", str(tmp_path))
+    assert "oracle" not in json.loads(
+        (tmp_path / "run_manifest.json").read_text())
+
+
 class TestIncrementModulus:
     def brute(self, us, knots, d):
         g = np.searchsorted(us, knots, side="right") / us.size - knots

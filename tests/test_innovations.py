@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from bklab.innovations import get_innovation
 from bklab.model import validate_innovation
@@ -98,3 +99,33 @@ def test_unknown_name():
 def test_probe_grid_must_cover_support():
     with pytest.raises(ValueError, match="misses"):
         validate_innovation(get_innovation("gaussian"), lo=-1.0, hi=1.0)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_cf_matches_quadrature(name):
+    # E exp(i t eps) by adaptive quadrature of the density over the
+    # support, split at the kinks of the non-smooth laws
+    law = (get_innovation(name) if name == "uniform"
+           else get_innovation(name, scale=1.3))
+    lo, hi = float(law.quantile(1e-16)), float(law.quantile(1.0 - 1e-16))
+    kinks = [0.0] if lo < 0.0 < hi else None
+    for t in (0.0, 0.3, 1.0, 2.5, 7.0):
+        re, im = (quad(lambda x: float(law.pdf(x)) * trig(t * x), lo, hi,
+                       points=kinks, limit=400, epsabs=1e-14,
+                       epsrel=1e-13)[0]
+                  for trig in (math.cos, math.sin))
+        assert abs(complex(law.cf(t)) - complex(re, im)) < 1e-12
+
+
+def test_logistic_cf_stable_for_large_t():
+    law = get_innovation("logistic", scale=0.5)
+    t = np.array([0.0, 1e-8, 50.0, 1e3, -1e6])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        vals = law.cf(t)
+    assert vals[0] == 1.0 and vals[1] == pytest.approx(1.0, abs=1e-15)
+    assert vals[2] == pytest.approx(25 * math.pi / math.sinh(25 * math.pi),
+                                    rel=1e-12)
+    assert vals[3] == 0.0 and vals[4] == 0.0
+    # at t = -i theta the closed form is the moment generating function
+    assert complex(law.cf(-0.5j)).real == pytest.approx(
+        0.25 * math.pi / math.sin(0.25 * math.pi), rel=1e-14)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from bklab.coefficients import (make_finite_coefficients,
                                 make_power_law_coefficients)
@@ -147,3 +147,120 @@ class TestCsrExponents:
         # f(Q(y)) = 1 - y exactly: flat at 0, slope one at the upper end
         assert abs(est.gamma1) < 0.05
         assert est.gamma2 == pytest.approx(1.0, abs=1e-6)
+
+
+def powerlaw_model(innovation):
+    return LinearProcessModel(
+        innovations=get_innovation(innovation),
+        coefficients=make_power_law_coefficients(3.0), rho=0.45,
+        gamma1=1.0, gamma2=1.0)
+
+
+@pytest.fixture(scope="module")
+def logistic_engine():
+    model = powerlaw_model("logistic")
+    return model, build_marginal_oracle(model)
+
+
+class TestFourierEngine:
+    def test_gaussian_matches_closed_form(self):
+        model = powerlaw_model("gaussian")
+        oracle = build_marginal_oracle(model)
+        assert oracle.kind == "fourier" and not oracle.use_exact
+        sigma = model.sigma
+        x = np.linspace(-8.0 * sigma, 8.0 * sigma, 20_001)
+        assert np.max(np.abs(oracle.cdf(x) - ndtr(x / sigma))) < 1e-12
+        pdf = np.exp(-0.5 * (x / sigma) ** 2) / (math.sqrt(2.0 * math.pi)
+                                                 * sigma)
+        assert np.max(np.abs(oracle.pdf(x) - pdf)) < 1e-12
+        # away from the tails, where an absolute CDF error of 1e-15
+        # moves Q by at most 1e-15 / f(Q) < 1e-12
+        y = np.linspace(1e-3, 1.0 - 1e-3, 20_001)
+        assert np.max(np.abs(oracle.quantile(y) - sigma * ndtri(y))) < 1e-12
+        assert oracle.cdf_error_bound <= 1e-12
+
+    def test_series_converged(self, logistic_engine, monkeypatch):
+        # twice the period at the same frequency cut-off: h halves and the
+        # series doubles in length
+        from bklab import model as model_module
+        model, oracle = logistic_engine
+        half_period = model_module.half_period
+        monkeypatch.setattr(model_module, "half_period",
+                            lambda *args: (2.0 * half_period(*args)[0],
+                                           half_period(*args)[1]))
+        finer = build_marginal_oracle(model)
+        assert finer.engine.half == 2.0 * oracle.engine.half
+        assert finer.engine.n_terms >= 2 * oracle.engine.n_terms - 1
+        x = np.linspace(-30.0, 30.0, 6001)
+        assert np.max(np.abs(finer.cdf(x) - oracle.cdf(x))) <= 1e-13
+        assert np.max(np.abs(finer.pdf(x) - oracle.pdf(x))) <= 1e-13
+
+    def test_monotone_and_inverse(self, logistic_engine):
+        _, oracle = logistic_engine
+        half = oracle.engine.half
+        x = np.linspace(-half, half, 2_000_001)
+        assert np.all(np.diff(oracle.cdf(x)) >= 0.0)
+        assert np.all(oracle.pdf(x) >= 0.0)
+        y = np.concatenate([np.geomspace(1e-15, 0.5, 100_000),
+                            1.0 - np.geomspace(0.5, 1e-15, 100_000)])
+        q = oracle.quantile(y)
+        assert np.all(np.diff(q) >= 0.0)
+        assert np.max(np.abs(oracle.cdf(q) - y)) <= 1e-15
+
+    def test_agrees_with_mixture(self, logistic_engine):
+        # within five standard errors of the Monte Carlo mean at each x
+        model, oracle = logistic_engine
+        mixture = build_marginal_oracle(model, mixture_points=100_000,
+                                        seed=0)
+        x = np.linspace(-6.0, 6.0, 41)
+        terms = model.innovations.cdf(x[:, None]
+                                      - mixture.mixture_points[None, :])
+        stderr = terms.std(axis=1) / math.sqrt(terms.shape[1])
+        diff = np.abs(oracle.cdf(x) - mixture.cdf(x))
+        assert np.all(diff <= 5.0 * stderr + 1e-12)
+        assert diff.max() > 1e-7  # the mixture is not the engine
+
+    def test_scalar_and_outside_arguments(self, logistic_engine):
+        _, oracle = logistic_engine
+        half = oracle.engine.half
+        assert isinstance(oracle.cdf(0.3), float)
+        assert isinstance(oracle.quantile(0.3), float)
+        assert oracle.cdf(0.0) == pytest.approx(0.5, abs=1e-15)
+        # beyond the table the direct series serves F and f, unclipped
+        far = np.array([-3.0 * half, -1.5 * half, 1.5 * half, 3.0 * half])
+        assert np.all(np.abs(oracle.cdf(far) - [0, 0, 1, 1]) < 1e-14)
+        assert np.all(np.abs(oracle.pdf(far)) < 1e-14)
+        inner = np.array([-half, half])
+        assert np.allclose(oracle.cdf(inner), [0.0, 1.0], atol=1e-14)
+
+    def test_csr_exponents_logistic_near_one(self, logistic_engine):
+        _, oracle = logistic_engine
+        est = csr_exponents(oracle)
+        assert est.gamma1 == pytest.approx(1.0, abs=0.02)
+        assert est.gamma2 == pytest.approx(1.0, abs=0.02)
+
+    def test_non_smooth_innovation_rejected(self):
+        model = LinearProcessModel(
+            innovations=get_innovation("laplace"),
+            coefficients=make_finite_coefficients([1.0, 0.5]), rho=0.3)
+        with pytest.raises(ModelError, match="smooth"):
+            build_marginal_oracle(model)
+
+    def test_memoryless_is_single_point(self):
+        model = LinearProcessModel(
+            innovations=get_innovation("logistic"),
+            coefficients=make_finite_coefficients([1.0]), rho=0.3)
+        oracle = build_marginal_oracle(model)
+        assert oracle.kind == "single-point"
+        assert oracle.cdf_error_bound == 0.0
+
+
+def test_oracle_kinds(ma1_gaussian):
+    _, exact = ma1_gaussian
+    assert exact.kind == "exact" and exact.cdf_error_bound == 0.0
+    mixture = build_marginal_oracle(gaussian_model(), mixture_points=2000,
+                                    seed=1)
+    assert mixture.kind == "mixture"
+    # the DKW bound at probability 0.999
+    assert mixture.cdf_error_bound == pytest.approx(
+        math.sqrt(math.log(2000.0) / 4000.0))
