@@ -28,6 +28,13 @@ pieces, bounding (y(1-y))^nu |R| on a piece by the largest weight on it
 times the piece's bound of |R|. The result is the largest value attained,
 within ``SUP_TOL`` of the supremum of the served oracle functions.
 
+The pass is one sweep over blocks of ``_BLOCK`` consecutive pieces, sized
+so that a block's arrays stay in cache. Each block builds its breakpoints,
+evaluates Q and f once per breakpoint, and keeps only the pieces whose
+bound beats the running maxima; bisection starts from those, so the sups,
+the smallest margin and the bisected-piece count do not depend on the
+block size. The exact pass keeps no residual values.
+
 L comes from the oracle (:func:`_score_bound`): |x|/sigma^2 for the exact
 Gaussian oracle; alpha + beta (|x| + max |s_j|) for a mixture over
 predictor points s_j of an innovation with |f_eps'/f_eps|(z) <= alpha +
@@ -54,6 +61,7 @@ from .errors import ModelError
 
 DENSITY_FLOOR = 1e-12
 SUP_TOL = 1e-13  # bisection stops once no piece can beat the max by more
+_BLOCK = 1 << 14  # pieces per block of the exact sup's sweep: fits in cache
 
 
 def _check_n(n):
@@ -94,16 +102,16 @@ def csr_nu_min(gamma):
 
 @dataclass(frozen=True)
 class ResidualSeries:
-    """Residual values on a y-grid with plain and weighted suprema.
+    """Plain and weighted suprema of |R|, with R on a y-grid for a grid sup.
 
-    The exact sup reports R at its breakpoints (the inner one-sided limit
-    at the interval ends), the smallest certificate margin 2 - L d over
-    its pieces and the number of pieces it bisected; the grid sup reports
-    its grid, NaN and 0.
+    The exact sup reports the smallest certificate margin 2 - L d over its
+    pieces and the number of pieces it bisected, and carries no grid:
+    ``y_grid`` and ``values`` are None. The grid sup (``refine=``) reports
+    its grid and R on it, NaN and 0.
     """
 
-    y_grid: np.ndarray
-    values: np.ndarray
+    y_grid: np.ndarray | None
+    values: np.ndarray | None
     sup_abs: float
     weighted_sup: float
     nu: float
@@ -114,6 +122,8 @@ class ResidualSeries:
     refined: int = 0
 
     def to_csv(self, fh):
+        if self.y_grid is None:
+            raise ValueError("an exact residual series has no grid to write")
         a, b = self.interval
         fh.write(f"# n={self.n} seed={self.seed} a={a!r} b={b!r} nu={self.nu!r}\n")
         fh.write("y,residual,weight,weighted_abs\n")
@@ -224,48 +234,72 @@ def _jump_slots(v, n, strict):
     return s
 
 
-def _breakpoints(pit_summary, cuts):
-    """Breakpoints on [min cut, max cut] and the state of each piece.
+class _Breakpoints:
+    """Breakpoints t on [min cut, max cut] and the state of each piece,
+    served a block at a time.
 
-    ``cuts`` are (y, lower) interval ends. Returns the sorted points t, the
-    rank k of Q_n(y) = X_(k) and the count j of n E_n(y) on each piece
-    (t[p], t[p+1]), and the index in t of each cut. A cut that coincides
-    with a jump sits on the inner side of it. Where a PIT order statistic
-    coincides with a jump k/n, the zero-length piece between them has
-    values between the two one-sided limits at k/n, so no sup changes.
+    ``cuts`` are (y, lower) interval ends. The breakpoints are the jumps
+    k/n, the PIT order statistics U_(i) and the cuts, in ascending order;
+    on piece p, (t[p], t[p+1]), Q_n(y) = X_(k) and n E_n(y) = j. ``at``
+    is the index in t of each cut, and ``size`` the length of t. A cut
+    that coincides with a jump sits on the inner side of it. Where a PIT
+    order statistic coincides with a jump k/n, the zero-length piece
+    between them has values between the two one-sided limits at k/n, so
+    no sup changes.
     """
-    n = pit_summary.n
-    us = pit_summary.sorted
-    lo = min(y for y, _ in cuts)
-    hi = max(y for y, _ in cuts)
-    k_lo = int(_jump_slots(lo, n, strict=False))
-    k_hi = int(_jump_slots(hi, n, strict=True))
-    i_lo = int(np.searchsorted(us, lo, side="right"))
-    i_hi = int(np.searchsorted(us, hi, side="left"))
-    u = us[i_lo:i_hi]
 
-    # U_(i) follows the earlier order statistics and the jumps below it
-    at_u = np.zeros(u.size + k_hi - k_lo, dtype=bool)
-    at_u[np.arange(u.size) + _jump_slots(u, n, strict=True) - k_lo] = True
-    t = np.empty(at_u.size)
-    t[at_u] = u
-    t[~at_u] = np.arange(k_lo + 1, k_hi + 1) / n
+    def __init__(self, pit_summary, cuts):
+        n = self.n = pit_summary.n
+        us = pit_summary.sorted
+        lo = min(y for y, _ in cuts)
+        hi = max(y for y, _ in cuts)
+        self.k_lo = int(_jump_slots(lo, n, strict=False))
+        k_hi = int(_jump_slots(hi, n, strict=True))
+        self.i_lo = int(np.searchsorted(us, lo, side="right"))
+        i_hi = int(np.searchsorted(us, hi, side="left"))
+        self.u = us[self.i_lo:i_hi]
+        # an event is a jump or an order statistic; U_(i) follows the
+        # earlier order statistics and the jumps below it (counted a block
+        # at a time, in cache)
+        below = np.concatenate([
+            _jump_slots(self.u[i:i + _BLOCK], n, strict=True)
+            for i in range(0, max(self.u.size, 1), _BLOCK)])
+        self.event_u = np.arange(self.u.size) + below - self.k_lo
 
-    pos = [int(_jump_slots(y, n, strict=not lower)) - k_lo
-           + int(np.searchsorted(u, y, side="right" if lower else "left"))
-           for y, lower in cuts]
-    order = sorted(range(len(cuts)), key=lambda i: (pos[i], cuts[i]))
-    at = [0] * len(cuts)
-    for rank, i in enumerate(order):
-        at[i] = pos[i] + rank
-    where = [pos[i] for i in order]
-    t = np.insert(t, where, [cuts[i][0] for i in order])
-    at_u = np.insert(at_u, where, False)
-    at_jump = ~at_u
-    at_jump[at] = False
-    k = k_lo + 1 + np.cumsum(at_jump)[:-1]
-    j = i_lo + np.cumsum(at_u)[:-1]
-    return t, k, j, at
+        pos = [int(_jump_slots(y, n, strict=not lower)) - self.k_lo
+               + int(np.searchsorted(self.u, y, side="right" if lower
+                                     else "left"))
+               for y, lower in cuts]
+        order = sorted(range(len(cuts)), key=lambda i: (pos[i], cuts[i]))
+        self.at = [0] * len(cuts)
+        for rank, i in enumerate(order):
+            self.at[i] = pos[i] + rank
+        self.cuts = [(self.at[i], cuts[i][0]) for i in order]
+        self.size = self.u.size + k_hi - self.k_lo + len(cuts)
+
+    def block(self, start, stop):
+        """t[start:stop + 1], and k and j on pieces start .. stop - 1."""
+        cuts = [(p - start, y) for p, y in self.cuts if start <= p <= stop]
+        e0 = start - sum(p < start for p, _ in self.cuts)
+        events = stop + 1 - start - len(cuts)
+        i0, i1 = (int(i) for i in np.searchsorted(self.event_u,
+                                                  (e0, e0 + events)))
+        at_u = self.event_u[i0:i1] - e0
+        at_jump = np.ones(events, dtype=bool)
+        at_jump[at_u] = False
+        # jumps and order statistics up to each event
+        jumps = np.cumsum(at_jump)
+        stats = np.arange(1, events + 1) - jumps
+        k0 = self.k_lo + e0 - i0  # jumps below the block
+        t = (k0 + jumps) / self.n
+        t[at_u] = self.u[i0:i1]
+        if cuts:
+            slots = [p - rank for rank, (p, _) in enumerate(cuts)]
+            t = np.insert(t, slots, [y for _, y in cuts])
+            # a cut adds no event: its counts are those of the event before
+            jumps, stats = (np.insert(c, slots, np.append(0, c)[slots])
+                            for c in (jumps, stats))
+        return t, k0 + 1 + jumps[:-1], self.i_lo + i0 + stats[:-1]
 
 
 class _Pieces:
@@ -280,6 +314,11 @@ class _Pieces:
 
     def take(self, mask):
         return _Pieces(*(v[mask] for v in vars(self).values()))
+
+    @staticmethod
+    def concat(parts):
+        columns = zip(*(vars(p).values() for p in parts))
+        return _Pieces(*(np.concatenate(c) for c in columns))
 
     def halves(self, mid, qm, rm, wm):
         """Both halves of every piece, split at mid where Q = qm, R = rm
@@ -302,22 +341,108 @@ class _Pieces:
         d = np.maximum(np.abs(self.ql - self.x), np.abs(self.qr - self.x))
         return 2.0 - (alpha + beta * (top + shift)) * d
 
-    def bound(self, margin, rn):
-        """Upper bound of |R| on each piece: the larger end limit where the
-        piece is certified, else the Lipschitz bound with
-        |R'| <= sqrt(n) (2 + L d) = sqrt(n) (4 - margin)."""
-        al, ar = np.abs(self.rl), np.abs(self.rr)
+    def bound(self, margin, rn, al, ar):
+        """Upper bound of |R| on each piece, given al = |rl| and ar = |rr|:
+        the larger end limit where the piece is certified, else the
+        Lipschitz bound with |R'| <= sqrt(n) (2 + L d) = sqrt(n) (4 - margin).
+        """
         top = np.maximum(al, ar)
-        fail = margin <= 0.0
-        lip = rn * (4.0 - margin[fail])
-        top[fail] = np.maximum(top[fail], 0.5 * (
-            al[fail] + ar[fail] + lip * (self.r[fail] - self.l[fail])))
+        fail = np.flatnonzero(margin <= 0.0)
+        if fail.size:
+            lip = rn * (4.0 - margin[fail])
+            top[fail] = np.maximum(top[fail], 0.5 * (
+                al[fail] + ar[fail] + lip * (self.r[fail] - self.l[fail])))
         return top
+
+
+def _candidates(pieces, margin, rn, nu, best, best_w):
+    """Raise the plain and weighted maxima by the pieces' end limits, and
+    mark the pieces whose bound still beats them by more than SUP_TOL."""
+    p, w = pieces.plain, pieces.weighted
+    al, ar = np.abs(pieces.rl), np.abs(pieces.rr)
+    best = max(best, np.max(al, where=p, initial=0.0),
+               np.max(ar, where=p, initial=0.0))
+    bound = pieces.bound(margin, rn, al, ar)
+    need = p & (bound > best + SUP_TOL)
+    if w.any():
+        best_w = max(best_w, np.max(pieces.wl * al, where=w, initial=0.0),
+                     np.max(pieces.wr * ar, where=w, initial=0.0))
+        need |= w & (pieces.peak_weight(nu) * bound > best_w + SUP_TOL)
+    return best, best_w, need
+
+
+def _sweep(summary, oracle, points, ranges, score, nu):
+    """One pass over the pieces, a block at a time. Returns the plain and
+    weighted maxima of the end limits, the smallest margin over the pieces
+    in ``ranges``, and the pieces, with their margins, whose bound beat
+    the running maxima.
+
+    The maxima only grow, so the kept pieces hold every piece whose bound
+    beats the final ones, and the first bisection round selects exactly
+    those: no result depends on the block size.
+    """
+    n = summary.n
+    rn = math.sqrt(n)
+    best = best_w = 0.0
+    min_margin = math.inf
+    kept, kept_margin = [], []
+    q_last = f_last = None
+    for start in range(0, points.size - 1, _BLOCK):
+        stop = min(start + _BLOCK, points.size - 1)
+        t, k, j = points.block(start, stop)
+        if q_last is None:
+            qt, ft = _quantile_density(oracle, t)
+        else:
+            qt, ft = np.empty_like(t), np.empty_like(t)
+            qt[0], ft[0] = q_last, f_last
+            qt[1:], ft[1:] = _quantile_density(oracle, t[1:])
+        q_last, f_last = qt[-1], ft[-1]
+        x = summary.sorted[k - 1]
+        e = j / n
+        rl = ft[:-1] * (rn * (qt[:-1] - x)) - rn * (e - t[:-1])
+        rr = ft[1:] * (rn * (qt[1:] - x)) - rn * (e - t[1:])
+        in_range = np.zeros((2, k.size), dtype=bool)
+        for row, (lo, hi) in zip(in_range, ranges):
+            row[max(lo - start, 0):max(hi - start, 0)] = True
+        wt = _weight(t, nu)
+        pieces = _Pieces(t[:-1], t[1:], qt[:-1], qt[1:], rl, rr, wt[:-1],
+                         wt[1:], x, e, *in_range)
+        margin = pieces.margin(score)
+        min_margin = min(min_margin, float(np.min(
+            margin, where=in_range[0] | in_range[1], initial=math.inf)))
+        best, best_w, keep = _candidates(pieces, margin, rn, nu, best,
+                                         best_w)
+        keep = np.flatnonzero(keep)
+        kept.append(pieces.take(keep))
+        kept_margin.append(margin[keep])
+    return (best, best_w, min_margin, _Pieces.concat(kept),
+            np.concatenate(kept_margin))
+
+
+def _bisect(oracle, pieces, margin, score, rn, nu, best, best_w):
+    """Bisect the pieces whose bound beats the maxima by more than SUP_TOL
+    until none does. Returns both maxima and the number of pieces that the
+    first round splits."""
+    refined = None
+    while True:
+        best, best_w, need = _candidates(pieces, margin, rn, nu, best, best_w)
+        mid = 0.5 * (pieces.l + pieces.r)
+        need &= (pieces.l < mid) & (mid < pieces.r)
+        if refined is None:
+            refined = int(np.count_nonzero(need))
+        if not need.any():
+            return best, best_w, refined
+        pieces, mid = pieces.take(need), mid[need]
+        qm, fm = _quantile_density(oracle, mid)
+        rm = fm * (rn * (qm - pieces.x)) - rn * (pieces.e - mid)
+        pieces = pieces.halves(mid, qm, rm, _weight(mid, nu))
+        margin = pieces.margin(score)
 
 
 def _exact_sup(summary, pit_summary, oracle, plain, nu, seed):
     """Exact sup |R| over ``plain`` = (a, b) and, when ``nu`` is set,
-    sup (y(1-y))^nu |R| over (1/(n+1), n/(n+1)), from one breakpoint pass."""
+    sup (y(1-y))^nu |R| over (1/(n+1), n/(n+1)), from one breakpoint pass.
+    """
     n = summary.n
     a, b = plain
     if not (0.0 < a < b < 1.0):
@@ -325,56 +450,19 @@ def _exact_sup(summary, pit_summary, oracle, plain, nu, seed):
     cuts = [(a, True), (b, False)]
     if nu is not None:
         cuts += [(1.0 / (n + 1), True), (n / (n + 1.0), False)]
-    t, k, j, at = _breakpoints(pit_summary, cuts)
-    rn = math.sqrt(n)
-    qt, ft = _quantile_density(oracle, t)
-    x = summary.sorted[k - 1]
-    e = j / n
-    rl = ft[:-1] * (rn * (qt[:-1] - x)) - rn * (e - t[:-1])
-    rr = ft[1:] * (rn * (qt[1:] - x)) - rn * (e - t[1:])
-    in_range = np.zeros((2, k.size), dtype=bool)
-    in_range[0, at[0]:at[1]] = True
-    if nu is not None:
-        in_range[1, at[2]:at[3]] = True
+    points = _Breakpoints(pit_summary, cuts)
+    ranges = [points.at[i:i + 2] for i in range(0, len(cuts), 2)]
     nu = 0.0 if nu is None else float(nu)
-
-    wt = _weight(t, nu)
-    pieces = _Pieces(t[:-1], t[1:], qt[:-1], qt[1:], rl, rr, wt[:-1], wt[1:],
-                     x, e, *in_range)
-    score = _score_bound(oracle, float(min(ft[0], ft[-1])))
-    margin = pieces.margin(score)
-    min_margin = float(np.min(margin[in_range[0] | in_range[1]]))
-    best = best_w = 0.0
-    refined = None
-    while True:
-        p, w = pieces.plain, pieces.weighted
-        best = max(best, np.max(np.abs(pieces.rl[p]), initial=0.0),
-                   np.max(np.abs(pieces.rr[p]), initial=0.0))
-        bound = pieces.bound(margin, rn)
-        need = p & (bound > best + SUP_TOL)
-        if w.any():
-            best_w = max(best_w, np.max((pieces.wl * np.abs(pieces.rl))[w]),
-                         np.max((pieces.wr * np.abs(pieces.rr))[w]))
-            need |= w & (pieces.peak_weight(nu) * bound > best_w + SUP_TOL)
-        mid = 0.5 * (pieces.l + pieces.r)
-        need &= (pieces.l < mid) & (mid < pieces.r)
-        if refined is None:
-            refined = int(np.count_nonzero(need))
-        if not need.any():
-            break
-        pieces, mid = pieces.take(need), mid[need]
-        qm, fm = _quantile_density(oracle, mid)
-        rm = fm * (rn * (qm - pieces.x)) - rn * (pieces.e - mid)
-        pieces = pieces.halves(mid, qm, rm, _weight(mid, nu))
-        margin = pieces.margin(score)
-
-    # R at each breakpoint: Q_n is left- and E_n right-continuous
-    values = np.empty_like(t)
-    values[0], values[-1] = rl[0], rr[-1]
-    values[1:-1] = (ft[1:-1] * (rn * (qt[1:-1] - x[:-1]))
-                    - rn * (e[1:] - t[1:-1]))
+    # f at t[0] and t[-1], the outermost cuts
+    _, f_ends = _quantile_density(oracle, np.array(
+        [points.cuts[0][1], points.cuts[-1][1]]))
+    score = _score_bound(oracle, float(np.min(f_ends)))
+    best, best_w, min_margin, pieces, margin = _sweep(
+        summary, oracle, points, ranges, score, nu)
+    best, best_w, refined = _bisect(oracle, pieces, margin, score,
+                                    math.sqrt(n), nu, best, best_w)
     return ResidualSeries(
-        y_grid=t, values=values, sup_abs=float(best),
+        y_grid=None, values=None, sup_abs=float(best),
         weighted_sup=float(best if nu == 0.0 else best_w), nu=nu,
         interval=(a, b), n=n, seed=seed, min_margin=min_margin,
         refined=refined)

@@ -104,24 +104,30 @@ def jump_grid(pit_summary, a, b, refine, oracle=None, summary=None):
     return np.unique(grid)
 
 
-def sup_abs_beta(summary, oracle):
+def _sup_step_gap(values, n):
+    """sqrt(n) max_i max(|i/n - v_i|, |(i-1)/n - v_i|) over v_1 .. v_n.
+
+    (i-1)/n < i/n, so the larger of the two distances is
+    max(i/n - v_i, v_i - (i-1)/n), and rounding keeps that exact.
+    """
+    steps = np.arange(n + 1) / n
+    return math.sqrt(n) * float(max(np.max(steps[1:] - values),
+                                    np.max(values - steps[:-1])))
+
+
+def sup_abs_beta(summary, oracle, cdf=None):
     """sup over the whole line of |beta(x)|, exact for the step function.
 
     The supremum of |F_n - F| is attained at order statistics, comparing
-    both one-sided values i/n and (i-1)/n against F(X_{i:n}).
+    both one-sided values i/n and (i-1)/n against F(X_{i:n}). ``cdf`` is
+    F at the order statistics when the caller has evaluated it already.
     """
-    fx = np.asarray(oracle.cdf(summary.sorted), dtype=float)
-    i = np.arange(1, summary.n + 1)
-    hi = np.abs(i / summary.n - fx)
-    lo = np.abs((i - 1) / summary.n - fx)
-    return math.sqrt(summary.n) * float(np.maximum(hi, lo).max())
+    return _sup_step_gap(np.asarray(
+        oracle.cdf(summary.sorted) if cdf is None else cdf, dtype=float),
+        summary.n)
 
 
 def sup_abs_u(pit_summary):
     """sup over (0, 1) of |u(y)|, exact for the step quantile function."""
-    us = pit_summary.sorted
-    n = pit_summary.n
-    k = np.arange(1, n + 1)
-    hi = np.abs(k / n - us)
-    lo = np.abs((k - 1) / n - us)
-    return math.sqrt(n) * float(np.maximum(hi, lo).max())
+    return _sup_step_gap(np.asarray(pit_summary.sorted, dtype=float),
+                         pit_summary.n)

@@ -57,6 +57,9 @@ class ExperimentConfig:
     covariance: dict = field(default_factory=dict)
     outputs: str = "out"
     raw: dict = field(default_factory=dict, repr=False)
+    # kind and error bound of the oracle that a cell run of this config built
+    built_oracle: dict = field(default_factory=dict, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         if any(int(n) < 16 for n in self.n_grid):
@@ -231,15 +234,24 @@ def fit_rate(pairs, normalizer=rate_b):
 _WORKER = {}
 
 
+def _oracle_record(oracle):
+    return {"kind": oracle.kind, "cdf_error_bound": oracle.cdf_error_bound}
+
+
 def _init_worker(raw, cell):
     config = config_from_dict(raw)
     model = build_model(config)
-    _WORKER["cell"] = functools.partial(cell, model,
-                                        build_oracle(model, config), config)
+    oracle = build_oracle(model, config)
+    _WORKER["oracle"] = _oracle_record(oracle)
+    _WORKER["cell"] = functools.partial(cell, model, oracle, config)
 
 
 def _run_cell(n, r):
     return _WORKER["cell"](n, r)
+
+
+def _worker_oracle():
+    return _WORKER["oracle"]
 
 
 def map_cells(config, cell, n_grid, replicates, threads):
@@ -248,19 +260,25 @@ def map_cells(config, cell, n_grid, replicates, threads):
 
     Each process, including this one at ``threads <= 1``, rebuilds the
     config, model and oracle once from ``config.raw``, so a row depends on
-    its cell alone and never on the process that ran it.
+    its cell alone and never on the process that ran it. The oracle's
+    kind and error bound go to ``config.built_oracle``.
     """
     tasks = [(n, r) for n in n_grid for r in range(replicates)]
     if threads <= 1:
         try:
             _init_worker(config.raw, cell)
-            return [_run_cell(n, r) for n, r in tasks]
+            rows = [_run_cell(n, r) for n, r in tasks]
+            oracle = _worker_oracle()
         finally:
             _WORKER.clear()
-    chunk = max(1, replicates // (4 * threads))
-    with multiprocessing.Pool(threads, initializer=_init_worker,
-                              initargs=(config.raw, cell)) as pool:
-        return pool.starmap(_run_cell, tasks, chunksize=chunk)
+    else:
+        chunk = max(1, replicates // (4 * threads))
+        with multiprocessing.Pool(threads, initializer=_init_worker,
+                                  initargs=(config.raw, cell)) as pool:
+            rows = pool.starmap(_run_cell, tasks, chunksize=chunk)
+            oracle = pool.apply(_worker_oracle)
+    config.built_oracle.update(oracle)
+    return rows
 
 
 def _csv_field(value):
@@ -306,13 +324,14 @@ class LilRow:
     lil_u: float
 
 
-def _sorted_pit(path, oracle, x_sorted):
-    """The PIT sample in ascending order, F(X_(1)) <= ... <= F(X_(n)).
+def _sorted_pit(path, oracle, x_sorted, cdf=None):
+    """The PIT sample in ascending order, F(X_(1)) <= ... <= F(X_(n)), from
+    ``cdf`` = F(x_sorted) when it is given.
 
     F is nondecreasing, so the sorted sample needs no second sort; the
     check catches an oracle whose rounding breaks monotonicity.
     """
-    u = pit_transform(replace(path, x=x_sorted), oracle)
+    u = pit_transform(replace(path, x=x_sorted), oracle, cdf)
     return u if np.all(np.diff(u) >= 0.0) else np.sort(u)
 
 
@@ -321,11 +340,13 @@ def _lil_sample(model, oracle, config, n, r):
     seed = mix_seed(config.master_seed, n, r)
     path = simulate_path(model, n, seed, trunc_tol=config.trunc_tol)
     xs = EmpiricalSummary.from_sample(path.x, seed=seed)
-    us = EmpiricalSummary(n=n, sorted=_sorted_pit(path, oracle, xs.sorted),
+    # one CDF pass serves both the PIT and sup |beta|
+    fx = np.asarray(oracle.cdf(xs.sorted), dtype=float)
+    us = EmpiricalSummary(n=n, sorted=_sorted_pit(path, oracle, xs.sorted, fx),
                           source_seed=seed)
     norm = math.sqrt(2.0 * math.log(math.log(n)))
     return xs, us, LilRow(n=n, replicate=r, seed=seed,
-                          lil_beta=sup_abs_beta(xs, oracle) / norm,
+                          lil_beta=sup_abs_beta(xs, oracle, fx) / norm,
                           lil_u=sup_abs_u(us) / norm)
 
 
@@ -634,10 +655,12 @@ def run_covariance_check(config, x_grid=None, threads=1, out_dir=None):
 
 
 def oracle_summary(config):
-    """Kind and CDF error bound of the config's oracle; both depend on the
-    config alone."""
-    oracle = build_oracle(build_model(config), config)
-    return {"kind": oracle.kind, "cdf_error_bound": oracle.cdf_error_bound}
+    """Kind and CDF error bound of the config's oracle. Both depend on the
+    config alone, so a cell run's record serves, and an oracle is built
+    here only when no cell has run."""
+    if config.built_oracle:
+        return dict(config.built_oracle)
+    return _oracle_record(build_oracle(build_model(config), config))
 
 
 def write_manifest(config, command, out_dir):

@@ -6,7 +6,8 @@ predictor, and characteristic function phi_X(t) = prod_k phi_eps(c_k t).
 The oracle realizes F, f and Q in one of four ways:
 
 * exact: Gaussian innovations, F(x) = Phi(x/sigma), sigma^2 = sum c_k^2;
-* single-point: a memoryless kernel, F = F_eps;
+* single-point: a memoryless kernel, F = F_eps, served by the
+  innovation's own cdf, pdf and quantile;
 * fourier: a dependent model with a smooth innovation law. phi_X (lags
   up to the horizon K, a Gaussian top-up for the rest) is inverted once
   by the trapezoidal Gil-Pelaez series onto a table, from which F and f
@@ -511,8 +512,9 @@ class MarginalOracle:
     ``engine`` is the :class:`FourierMarginal` that serves a ``fourier``
     oracle. Otherwise ``mixture_points`` holds the i.i.d. predictor draws
     s_j; the mixture forms are F(x) = mean_j F_eps(x - s_j) and
-    f(x) = mean_j f_eps(x - s_j), with Q by bracketed root finding (exact
-    for a single point). When ``sigma_exact`` is set (Gaussian
+    f(x) = mean_j f_eps(x - s_j), with Q by bracketed root finding; a
+    single point s_0 is served directly as F_eps(x - s_0), f_eps(x - s_0)
+    and s_0 + Q_eps(y). When ``sigma_exact`` is set (Gaussian
     innovations) the closed form Phi(x/sigma) is available as ground
     truth; ``use_exact`` selects it as the serving implementation.
     """
@@ -557,6 +559,8 @@ class MarginalOracle:
             return self.exact_cdf(x)
         if self.engine is not None:
             return _shaped(self.engine.cdf, x)
+        if self.mixture_points.size == 1:
+            return self._single_point(self.innovation.cdf, x)
         return self._mixture_mean(self.innovation.cdf, x)
 
     def pdf(self, x):
@@ -564,6 +568,8 @@ class MarginalOracle:
             return self.exact_pdf(x)
         if self.engine is not None:
             return _shaped(self.engine.pdf, x)
+        if self.mixture_points.size == 1:
+            return self._single_point(self.innovation.pdf, x)
         return self._mixture_mean(self.innovation.pdf, x)
 
     def quantile(self, y):
@@ -603,6 +609,11 @@ class MarginalOracle:
             raise ModelError("no closed-form marginal for this model")
 
     # -- internals -----------------------------------------------------------
+
+    def _single_point(self, fn, x):
+        """fn(x - s0): the mixture mean over one point, served directly."""
+        s0 = self.mixture_points[0]
+        return _shaped(lambda v: fn(v - s0), x)
 
     def _mixture_mean(self, fn, x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))

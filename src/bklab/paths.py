@@ -108,13 +108,14 @@ def simulate_path(model, n, seed, trunc_tol=None, method=None):
         compensated=compensated)
 
 
-def pit_transform(path, oracle):
-    """U_i = F(X_i), clipped to the open interval (0, 1)."""
+def pit_transform(path, oracle, cdf=None):
+    """U_i = F(X_i), clipped to the open interval (0, 1); ``cdf`` is F at
+    ``path.x`` when the caller has evaluated it already."""
     if oracle.model_id != path.model_id:
         raise ValueError(
             f"oracle for {oracle.model_id!r} does not match path model "
             f"{path.model_id!r}")
-    u = np.asarray(oracle.cdf(path.x), dtype=float)
+    u = np.asarray(oracle.cdf(path.x) if cdf is None else cdf, dtype=float)
     tiny = 1e-15
     return np.clip(u, tiny, 1.0 - tiny)
 

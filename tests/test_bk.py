@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bklab import bk
 from bklab.bk import (ResidualSeries, _jump_slots, _score_bound, csr_nu_min,
                       rate_b, rate_kiefer_pointwise, rate_lambda,
                       residual_pointwise, residual_sup, residual_values,
@@ -487,3 +489,95 @@ class TestFourierCertificate:
             coefficients=make_power_law_coefficients(3.0), rho=0.45)
         with pytest.raises(ModelError, match="bounded innovation score"):
             _score_bound(build_marginal_oracle(model), 0.1)
+
+
+# ---------------------------------------------------------------------------
+# block sweep of the exact sup
+
+
+def gaussian_cells(powerlaw_gaussian):
+    model, oracle = powerlaw_gaussian
+    for n in (2 ** 10, 2 ** 11, 2 ** 12):
+        xs, us = summaries(model, oracle, n, mix_seed(41, n, 1))
+        yield ("gaussian", n, "w"), functools.partial(
+            weighted_residual_sup, xs, us, oracle, 2.5,
+            interval=(0.05, 0.95))
+
+
+def logistic_cells():
+    model, oracle = logistic_powerlaw_fourier()
+    for n in (16, 24, 256):
+        for r in range(3):
+            xs, us = summaries(model, oracle, n, mix_seed(41, n, r))
+            yield ("logistic", n, r, "w"), functools.partial(
+                weighted_residual_sup, xs, us, oracle, 2.5, gamma=1.0,
+                interval=(0.05, 0.95))
+            yield ("logistic", n, r, "p"), functools.partial(
+                residual_sup, xs, us, oracle, 0.05, 0.95)
+
+
+def tied_uniform_cells(iid_uniform):
+    # order statistics on the jumps k/n, with ties
+    _, oracle = iid_uniform
+    for n in (20, 64):
+        for r in range(2):
+            rng = np.random.default_rng(r)
+            xs = EmpiricalSummary.from_sample(rng.integers(1, n, n) / n)
+            yield ("uniform-ties", n, r, "w"), functools.partial(
+                weighted_residual_sup, xs, xs, oracle, 2.5, gamma=1.0,
+                interval=(0.05, 0.95))
+            yield ("uniform-ties", n, r, "p"), functools.partial(
+                residual_sup, xs, xs, oracle, 0.05, 0.95)
+
+
+def sweep_fields(series):
+    return (repr(series.sup_abs), repr(series.weighted_sup),
+            repr(series.min_margin), series.refined)
+
+
+@pytest.fixture(scope="module")
+def sweep_cells(powerlaw_gaussian, iid_uniform):
+    cells = [*gaussian_cells(powerlaw_gaussian), *logistic_cells(),
+             *tied_uniform_cells(iid_uniform)]
+    return [(key, run, sweep_fields(run())) for key, run in cells]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_sweep_independent_of_block_size(sweep_cells, monkeypatch, block):
+    monkeypatch.setattr(bk, "_BLOCK", block)
+    for key, run, fields in sweep_cells:
+        assert sweep_fields(run()) == fields, key
+
+
+# sup_abs, weighted_sup, min_margin and refined before the block sweep
+# (whole-array breakpoint pass), as repr
+PINNED = {
+    ("gaussian", 1024, "w"): ("0.3760993237737522", "0.010573138360151993",
+                              "0.7876821575302451", 1),
+    ("gaussian", 4096, "w"): ("0.2107679430579483", "0.004525550628742283",
+                              "1.0493053424985828", 0),
+    ("logistic", 16, 0, "w"): ("0.8831859121925747", "0.016854253462607938",
+                               "0.5324068419631718", 2),
+    ("logistic", 24, 1, "w"): ("0.9516350291600448", "0.025339906013355253",
+                               "-0.17541574495086687", 1),
+    ("logistic", 256, 0, "p"): ("0.6124548916275718", "0.6124548916275718",
+                                "1.6644465783499367", 0),
+    ("uniform-ties", 20, 0, "w"): ("0.894427190999916",
+                                   "0.020963137289060525", "2.0", 1),
+    ("uniform-ties", 64, 1, "p"): ("0.75", "0.75", "2.0", 0),
+}
+
+
+def test_sweep_matches_pinned_values(sweep_cells):
+    found = {key: fields for key, _, fields in sweep_cells}
+    for key, fields in PINNED.items():
+        assert found[key] == fields, key
+
+
+def test_exact_series_keeps_no_values(powerlaw_gaussian):
+    model, oracle = powerlaw_gaussian
+    xs, us = summaries(model, oracle, 256, 5)
+    series = weighted_residual_sup(xs, us, oracle, 2.5)
+    assert series.y_grid is None and series.values is None
+    with pytest.raises(ValueError, match="no grid"):
+        series.to_csv(io.StringIO())

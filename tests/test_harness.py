@@ -280,6 +280,23 @@ def test_manifest_records_oracle(tmp_path, model, kind):
         (tmp_path / "run_manifest.json").read_text())
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_manifest_takes_the_oracle_the_run_built(tmp_path, monkeypatch,
+                                                 threads):
+    cfg = config_from_dict(make_config(
+        innovation="logistic", n_grid=(16,), replicates=2, **POWER_LAW))
+    expected = harness.oracle_summary(cfg)
+    run_lil_scan(cfg, threads=threads)
+
+    def no_rebuild(*args):
+        raise AssertionError("the manifest rebuilt the oracle")
+
+    monkeypatch.setattr(harness, "build_oracle", no_rebuild)
+    write_manifest(cfg, "lil-scan", str(tmp_path))
+    oracle = json.loads((tmp_path / "run_manifest.json").read_text())["oracle"]
+    assert oracle == expected and oracle["kind"] == "fourier"
+
+
 class TestIncrementModulus:
     def brute(self, us, knots, d):
         g = np.searchsorted(us, knots, side="right") / us.size - knots

@@ -255,6 +255,25 @@ class TestFourierEngine:
         assert oracle.cdf_error_bound == 0.0
 
 
+@pytest.mark.parametrize("name", ["gaussian", "logistic", "uniform",
+                                  "laplace", "exponential"])
+def test_single_point_serves_innovation(name):
+    # x - 0.0 and a mean over one column are exact, so the memoryless
+    # oracle serves the innovation's own cdf and pdf bit for bit
+    innov = get_innovation(name)
+    model = LinearProcessModel(
+        innovations=innov, coefficients=make_finite_coefficients([1.0]),
+        rho=0.3)
+    oracle = build_marginal_oracle(model, mixture_points=1, seed=0)
+    assert oracle.kind == "single-point"
+    x = np.concatenate([np.random.default_rng(5).normal(0.0, 3.0, 2001),
+                        [0.0, 0.5, 1.0, -1.0, 1e-300, 40.0, -40.0]])
+    for served, own in ((oracle.cdf, innov.cdf), (oracle.pdf, innov.pdf)):
+        assert served(x).tobytes() == np.asarray(own(x), float).tobytes()
+        assert served(0.25) == float(own(0.25))
+        assert isinstance(served(0.25), float)
+
+
 def test_oracle_kinds(ma1_gaussian):
     _, exact = ma1_gaussian
     assert exact.kind == "exact" and exact.cdf_error_bound == 0.0
