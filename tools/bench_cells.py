@@ -118,7 +118,7 @@ def _sup_split(bk, clock):
     return split, undo
 
 
-def _replay(harness, bk, model, oracle, config, n, r, clock, split):
+def _replay(harness, model, oracle, config, n, r, clock, split):
     """The steps of ``harness._rate_cell``, timed; returns its row."""
     from bklab.empirical import EmpiricalSummary
     from bklab.seeds import mix_seed
@@ -179,8 +179,8 @@ def measure(tree, seed, replicate):
             clock = _Clock()
             split, undo = _sup_split(bk, clock)
             try:
-                row = _replay(harness, bk, model, oracle, config, n,
-                              replicate, clock, split)
+                row = _replay(harness, model, oracle, config, n, replicate,
+                              clock, split)
             finally:
                 for owner, attr, orig in reversed(undo):
                     setattr(owner, attr, orig)
