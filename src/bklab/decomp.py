@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import ndtr
 
 from .coefficients import truncation_horizon
@@ -188,6 +187,11 @@ def covariance_gamma(model, oracle, x, y, lag_horizon=8, mc_draws=4000,
     Y_0(x)Y_0(y) + sum_{i=1..L} [Y_0(x)Y_i(y) + Y_0(y)Y_i(x)]. The
     reported stderr is the across-draw standard error; ``converged``
     compares the estimate against the half-horizon partial sum.
+
+    Each window is the direct convolution of one row of K + L
+    innovations with the K lag coefficients, summed tap by tap in lag
+    order, so the result is exact up to rounding and its summation
+    order is fixed.
     """
     L = int(lag_horizon)
     R = int(mc_draws)
@@ -206,9 +210,11 @@ def covariance_gamma(model, oracle, x, y, lag_horizon=8, mc_draws=4000,
         pred = np.zeros((R, L + 1))
     else:
         eps = innov.sample(rng, (R, K + L))
-        kernel = coeffs.weights(K)[1:]
-        # predictor at positions 0..L from each row of innovations
-        pred = fftconvolve(eps, kernel[None, :], axes=1)[:, K - 1:K + L]
+        # predictor at positions 0..L of each row: the tap for lag j + 1
+        # reads the innovations j + 1 places back
+        pred = np.zeros((R, L + 1))
+        for j, c in enumerate(coeffs.weights(K)[1:]):
+            pred += c * eps[:, K - 1 - j:K + L - j]
 
     def summands(pt):
         return (np.asarray(innov.cdf(float(pt) - pred), dtype=float)

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .coefficients import CoefficientSequence, truncation_horizon
@@ -628,6 +627,10 @@ class MarginalOracle:
         return out
 
     def _root(self, y, xtol=1e-13):
+        """Q(y) of the Monte Carlo mixture: the bracket is widened until
+        it holds y, then refined by ``brentq``. ``scipy.optimize`` is
+        imported here, on the first mixture quantile, because no other
+        oracle needs it."""
         lo, hi = self._bracket
         width = max(hi - lo, 1.0)
         for _ in range(200):
@@ -645,6 +648,7 @@ class MarginalOracle:
             width *= 2.0
         else:
             raise NumericalError(f"cannot bracket quantile at y={y}")
+        from scipy.optimize import brentq
         return brentq(lambda t: self.cdf(t) - y, lo, hi, xtol=xtol, rtol=8.9e-16)
 
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .coefficients import truncation_horizon
 from .errors import ModelError
@@ -52,6 +51,9 @@ class SamplePath:
 
 def _convolve(eps, kernel, method):
     if method == "fft":
+        # scipy.signal loads scipy.stats, optimize, sparse and more; only
+        # this branch needs it, so it is imported here
+        from scipy.signal import fftconvolve
         return fftconvolve(eps, kernel)
     return np.convolve(eps, kernel)
 
@@ -72,7 +74,9 @@ def simulate_path(model, n, seed, trunc_tol=None, method=None):
         standard deviation at most trunc_tol (default 1e-6 * sigma).
     method : {"direct", "fft"}, optional
         Convolution backend override; the default picks direct for
-        K * n <= 1e8 and FFT beyond. Both agree to ~1e-9 relative.
+        K * n <= 1e8 and FFT beyond. Both agree to ~1e-9 relative. The
+        FFT backend imports ``scipy.signal`` on its first use, so runs
+        that stay on the direct backend never load it.
     """
     n = int(n)
     if n < 1:

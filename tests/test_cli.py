@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,22 @@ def write_config(tmp_path, d, name="config.json"):
     p = tmp_path / name
     p.write_text(json.dumps(d))
     return str(p)
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # scipy.signal (and with it stats, interpolate and optimize) is imported
+    # only by the FFT convolution branch and the mixture oracle's root
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys, bklab.cli; print(' '.join(sorted(m for m in "
+            "sys.modules if m.startswith('scipy.'))))")
+    run = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    loaded = set(run.stdout.split())
+    for name in ("scipy.signal", "scipy.optimize", "scipy.stats",
+                 "scipy.interpolate"):
+        assert name not in loaded
 
 
 def test_unknown_subcommand(tmp_path, capsys):

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from bklab.coefficients import (make_finite_coefficients,
-                                make_power_law_coefficients)
+                                make_power_law_coefficients,
+                                truncation_horizon)
 from bklab.decomp import (TruncatedMarginals, blocked_sums, blocking_layout,
                           covariance_gamma, decompose, gaussian_limit_sample,
                           truncated_summands, y_summands)
@@ -214,6 +215,29 @@ class TestCovariance:
                                mc_draws=4000, seed=3)
         assert est.converged
         assert est.horizon_warning is None
+
+    def test_powerlaw_windows_match_row_convolution(self, powerlaw_gaussian):
+        # K = 73 lags, so every tap offset of the window loop is used;
+        # the reference convolves each row of the same draws with np.convolve
+        model, oracle = powerlaw_gaussian
+        L, R, seed, x, y = 8, 1000, 21, 0.3, -0.7
+        est = covariance_gamma(model, oracle, x, y, lag_horizon=L,
+                               mc_draws=R, seed=seed)
+        innov, coeffs = model.innovations, model.coefficients
+        K = truncation_horizon(coeffs, 1e-6 * model.sigma / innov.scale)
+        assert K == 73
+        eps = innov.sample(np.random.default_rng(seed), (R, K + L))
+        kernel = coeffs.weights(K)[1:]
+        pred = np.array([np.convolve(row, kernel)[K - 1:K + L]
+                         for row in eps])
+        yx = innov.cdf(x - pred) - oracle.cdf(x)
+        yy = innov.cdf(y - pred) - oracle.cdf(y)
+        terms = np.empty((R, L + 1))
+        terms[:, 0] = yx[:, 0] * yy[:, 0]
+        for i in range(1, L + 1):
+            terms[:, i] = yx[:, 0] * yy[:, i] + yy[:, 0] * yx[:, i]
+        gamma = terms.sum(axis=1).mean()
+        assert abs(est.gamma - gamma) <= 1e-13 * abs(gamma)
 
     def test_variance_link(self, ma1_gaussian):
         # replicate variance of sqrt(n) N(x) against Gamma(x, x)

@@ -22,6 +22,10 @@ one cell per n, stage by stage:
 The stages replay ``harness._rate_cell`` step by step; the record also
 holds the wall time of the real ``_rate_cell`` on the same cell, and the
 replay's row is checked against it. Medians and minima are over rounds.
+
+Before any of that, the same interpreter records its start-up: the wall
+time of ``import bklab.cli``, the peak resident set size (``ru_maxrss``)
+right after it, and the public ``scipy.*`` modules the import loaded.
 """
 
 import argparse
@@ -32,6 +36,8 @@ import json
 import math
 import os
 import platform
+import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -165,9 +171,16 @@ def _replay(harness, model, oracle, config, n, r, clock, split):
 def measure(tree, seed, replicate):
     """One timed cell per (model, n) of the checkout at ``tree``."""
     sys.path.insert(0, os.path.join(tree, "src"))
+    start = time.perf_counter()
+    import bklab.cli  # noqa: F401  (the entry point imports every layer)
+    out = {"startup": {
+        "import_s": time.perf_counter() - start,
+        "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "scipy_modules": sorted(m for m in sys.modules
+                                if m.count(".") == 1 and m.startswith("scipy.")
+                                and not m.startswith("scipy._"))}}
     from bklab import bk, harness
 
-    out = {}
     for name, (model_block, nu) in MODELS.items():
         config = harness.config_from_dict(_config(model_block, nu, seed))
         model = harness.build_model(config)
@@ -270,6 +283,8 @@ def main(argv=None):
     }
     for label, tree in trees.items():
         runs = raw[label]
+        startup = [r["startup"] for r in runs]
+        rss = [s["maxrss_mb"] for s in startup]
         models = {}
         for name in MODELS:
             entry = {"oracle_build": _summary(
@@ -280,7 +295,13 @@ def main(argv=None):
                                                  for r in runs])
                                    for k in keys}
             models[name] = entry
-        record["trees"][label] = dict(_commit(tree), models=models)
+        record["trees"][label] = dict(_commit(tree), startup={
+            "import_bklab_cli": _summary([s["import_s"] for s in startup]),
+            "maxrss_after_import_mb": {"median": statistics.median(rss),
+                                       "min": min(rss)},
+            "scipy_modules": sorted({m for s in startup
+                                     for m in s["scipy_modules"]}),
+        }, models=models)
     text = json.dumps(record, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
