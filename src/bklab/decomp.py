@@ -205,14 +205,11 @@ def covariance_gamma(model, oracle, x, y, lag_horizon=8, mc_draws=4000,
         trunc_tol = 1e-6 * max(model.sigma, 1e-12)
     K = truncation_horizon(coeffs, trunc_tol / max(innov.scale, 1e-300))
 
-    rng = np.random.default_rng(seed)
-    if K == 0:
-        pred = np.zeros((R, L + 1))
-    else:
-        eps = innov.sample(rng, (R, K + L))
-        # predictor at positions 0..L of each row: the tap for lag j + 1
-        # reads the innovations j + 1 places back
-        pred = np.zeros((R, L + 1))
+    # predictor at positions 0..L of each row: the tap for lag j + 1 reads
+    # the innovations j + 1 places back
+    pred = np.zeros((R, L + 1))
+    if K > 0:
+        eps = innov.sample(np.random.default_rng(seed), (R, K + L))
         for j, c in enumerate(coeffs.weights(K)[1:]):
             pred += c * eps[:, K - 1 - j:K + L - j]
 
