@@ -190,8 +190,7 @@ def covariance_gamma(model, oracle, x, y, lag_horizon=8, mc_draws=4000,
 
     Each window is the direct convolution of one row of K + L
     innovations with the K lag coefficients, summed tap by tap in lag
-    order, so the result is exact up to rounding and its summation
-    order is fixed.
+    order: no FFT round-off enters, and the summation order is fixed.
     """
     L = int(lag_horizon)
     R = int(mc_draws)

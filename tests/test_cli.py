@@ -17,8 +17,9 @@ def write_config(tmp_path, d, name="config.json"):
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
-    # scipy.signal (and with it stats, interpolate and optimize) is imported
-    # only by the FFT convolution branch and the mixture oracle's root
+    # scipy.signal, which loads stats, interpolate and optimize, is imported
+    # only by the FFT convolution branch, and scipy.optimize only by the
+    # mixture oracle's root
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     code = ("import sys, bklab.cli; print(' '.join(sorted(m for m in "
