@@ -11,9 +11,10 @@ The process is X_i = sum_{k>=0} c_k eps_{i-k} with c_0 = 1 and summable
 * ``geometric(r)``: c_k = r^k, |r| < 1, with closed-form tails.
 * ``finite(values)``: an MA(q) kernel, values[0] must equal 1.
 
-``tail_sq(i)`` returns sum_{k>=i} c_k^2; for the power-law family the
-suffix beyond a cached horizon is covered by an integral upper bound so
-the value is a slight over-estimate, monotone in i.
+``tail_sq(i)`` returns sum_{k>=i} c_k^2 and ``root_tail_sum(i)`` the
+sum of sqrt(tail_sq(j)) over j >= i; for the power-law family the suffix
+beyond a cached horizon is covered by an integral upper bound, so both
+values are slight over-estimates, monotone in i.
 """
 
 import math
@@ -28,11 +29,13 @@ _LOG_SHIFT = math.e  # log(e + k) keeps the slowly varying factor positive
 class CoefficientSequence:
     """One-sided MA coefficient sequence with tail-mass queries."""
 
-    def __init__(self, kind, params, weights_fn, tail_sq_fn, abs_sum, memory):
+    def __init__(self, kind, params, weights_fn, tail_sq_fn, root_tail_fn,
+                 abs_sum, memory):
         self.kind = kind
         self.params = params
         self._weights_fn = weights_fn
         self._tail_sq_fn = tail_sq_fn
+        self._root_tail_fn = root_tail_fn
         self.abs_sum = float(abs_sum)
         #: largest index with a nonzero coefficient, or None if infinite
         self.memory = memory
@@ -55,6 +58,12 @@ class CoefficientSequence:
         if i < 0:
             raise ValueError("tail index must be >= 0")
         return self._tail_sq_fn(int(i))
+
+    def root_tail_sum(self, i):
+        """sum_{j>=i} sqrt(tail_sq(j)) for integer i >= 0."""
+        if i < 0:
+            raise ValueError("tail index must be >= 0")
+        return self._root_tail_fn(int(i))
 
     @property
     def c0(self):
@@ -103,11 +112,15 @@ def make_power_law_coefficients(tau):
 
     weights_fn = _power_law_weights(tau)
     suffixes = {}  # horizon -> suffix sums of c_k^2 over k < horizon, plus rem
+    root_suffixes = {}  # horizon -> suffix sums of their square roots
 
-    def tail_sq(i):
+    def horizon(i):
         # the horizon depends on i alone, so a value never depends on
         # which indices were queried before
-        n = max(4096, 1 << int(math.ceil(math.log2(max(4 * (i + 1), 2)))))
+        return max(4096, 1 << int(math.ceil(math.log2(max(4 * (i + 1), 2)))))
+
+    def tail_sq(i):
+        n = horizon(i)
         if n not in suffixes:
             w = weights_fn(n - 1)
             csq = w * w
@@ -118,11 +131,24 @@ def make_power_law_coefficients(tau):
             suffixes[n] = np.cumsum(csq[::-1])[::-1] + rem
         return float(suffixes[n][i])
 
+    def root_tail_sum(i):
+        n = horizon(i)
+        if n not in root_suffixes:
+            tail_sq(i)
+            # the same bound at every j >= n, j^(1-2 tau) log(e+j)^-3 /
+            # (2 tau - 1), has square roots summing to at most this integral
+            rem = ((float(n) - 1.0) ** (1.5 - tau) / (tau - 1.5)
+                   * math.log(_LOG_SHIFT + n) ** (-1.5)
+                   / math.sqrt(2.0 * tau - 1.0))
+            root_suffixes[n] = (np.cumsum(np.sqrt(suffixes[n])[::-1])[::-1]
+                                + rem)
+        return float(root_suffixes[n][i])
+
     abs_sum = _abs_sum_power_law(tau)
     return CoefficientSequence(
         kind="power_law", params={"tau": tau},
         weights_fn=weights_fn, tail_sq_fn=tail_sq,
-        abs_sum=abs_sum, memory=None)
+        root_tail_fn=root_tail_sum, abs_sum=abs_sum, memory=None)
 
 
 def _abs_sum_power_law(tau):
@@ -148,9 +174,13 @@ def make_geometric_coefficients(r):
             return 1.0 if i == 0 else 0.0
         return (r * r) ** i / (1.0 - r * r)
 
+    def root_tail_sum(i):
+        # sqrt(tail_sq(j)) = |r|^j / sqrt(1 - r^2), a geometric series
+        return abs(r) ** i / ((1.0 - abs(r)) * math.sqrt(1.0 - r * r))
+
     return CoefficientSequence(
         kind="geometric", params={"r": r},
-        weights_fn=weights, tail_sq_fn=tail_sq,
+        weights_fn=weights, tail_sq_fn=tail_sq, root_tail_fn=root_tail_sum,
         abs_sum=1.0 / (1.0 - abs(r)),
         memory=(0 if r == 0.0 else None))
 
@@ -163,6 +193,7 @@ def make_finite_coefficients(values):
     if vals[0] != 1.0:
         raise ModelError(f"leading coefficient must be 1, got {vals[0]}")
     suffix = np.concatenate([np.cumsum((vals * vals)[::-1])[::-1], [0.0]])
+    root_suffix = np.cumsum(np.sqrt(suffix)[::-1])[::-1]
     memory = int(np.max(np.nonzero(vals)[0]))
 
     def weights(upto):
@@ -174,9 +205,12 @@ def make_finite_coefficients(values):
     def tail_sq(i):
         return float(suffix[min(i, vals.size)])
 
+    def root_tail_sum(i):
+        return float(root_suffix[min(i, vals.size)])
+
     return CoefficientSequence(
         kind="finite", params={"values": tuple(float(v) for v in vals)},
-        weights_fn=weights, tail_sq_fn=tail_sq,
+        weights_fn=weights, tail_sq_fn=tail_sq, root_tail_fn=root_tail_sum,
         abs_sum=float(np.abs(vals).sum()), memory=memory)
 
 
@@ -191,6 +225,33 @@ def make_coefficients(kind, **params):
     raise ModelError(f"unknown coefficient kind {kind!r}")
 
 
+def tail_horizon(tail, target, memory=None, max_lag=1 << 22):
+    """Smallest K >= 0 with tail(K+1) <= target.
+
+    ``tail`` is non-increasing and vanishes beyond ``memory`` (None for
+    an infinite kernel). Returns None if the doubling search passes
+    ``max_lag`` before the tail reaches the target.
+    """
+    if memory is not None:
+        k = memory
+        while k > 0 and tail(k) <= target:
+            k -= 1
+        return k
+    hi = 1
+    while tail(hi + 1) > target:
+        hi *= 2
+        if hi > max_lag:
+            return None
+    lo = hi // 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if tail(mid + 1) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 def truncation_horizon(coeffs, trunc_tol, max_lag=1 << 22):
     """Smallest K >= 0 with tail_sq(K+1) <= trunc_tol**2.
 
@@ -199,24 +260,10 @@ def truncation_horizon(coeffs, trunc_tol, max_lag=1 << 22):
     """
     if trunc_tol <= 0:
         raise ValueError("trunc_tol must be positive")
-    target = trunc_tol * trunc_tol
-    if coeffs.memory is not None:
-        k = coeffs.memory
-        while k > 0 and coeffs.tail_sq(k) <= target:
-            k -= 1
-        return k
-    hi = 1
-    while coeffs.tail_sq(hi + 1) > target:
-        hi *= 2
-        if hi > max_lag:
-            raise ModelError(
-                f"coefficient tail never reaches trunc_tol={trunc_tol:g} "
-                f"within {max_lag} lags")
-    lo = hi // 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if coeffs.tail_sq(mid + 1) <= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+    K = tail_horizon(coeffs.tail_sq, trunc_tol * trunc_tol, coeffs.memory,
+                     max_lag)
+    if K is None:
+        raise ModelError(
+            f"coefficient tail never reaches trunc_tol={trunc_tol:g} "
+            f"within {max_lag} lags")
+    return K

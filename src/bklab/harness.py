@@ -608,10 +608,13 @@ def _covariance_cell(model, oracle, config, n, r, x_grid):
 
 
 def run_covariance_check(config, x_grid=None, threads=1, out_dir=None):
-    """Replicate variance of sqrt(n) N(x) against the estimated Gamma(x, x).
+    """Replicate variance of sqrt(n) N(x) against Gamma(x, x).
 
-    Also reports a quantile-quantile deviation of the replicate sample
-    against the centered Gaussian with the estimated variance.
+    ``gamma_se`` is the certified error bound of Gamma plus, for Monte
+    Carlo lag terms (non-Gaussian laws), their standard error; ``converged``
+    says the bound is at most ``decomp.GAMMA_TOL``. Also reports a
+    quantile-quantile deviation of the replicate sample against the
+    centered Gaussian with variance Gamma.
     """
     model = build_model(config)
     gate_conditions(config, model)
@@ -642,7 +645,7 @@ def run_covariance_check(config, x_grid=None, threads=1, out_dir=None):
         qq = float(np.max(np.abs(np.quantile(s, probs) - sd * ndtri(probs))))
         rows.append(CovarianceCheckRow(
             x=x, n=n, replicates=reps, var_emp=var_emp, var_se=var_se,
-            gamma=est.gamma, gamma_se=est.stderr, qq_max_dev=qq,
+            gamma=est.gamma, gamma_se=est.bound + est.stderr, qq_max_dev=qq,
             converged=est.converged))
     if out_dir is not None:
         write_rows_csv(os.path.join(out_dir, "covariance.csv"), rows,

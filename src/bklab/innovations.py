@@ -30,7 +30,8 @@ class InnovationModel:
     interior of the support. ``cf`` is the characteristic function
     E exp(i t eps); its closed form also accepts complex t, and at
     t = -i theta it is the moment generating function E exp(theta eps)
-    wherever that is finite.
+    wherever that is finite. ``variance`` is Var(eps) and ``pdf_max`` the
+    supremum of the density, the Lipschitz constant of the CDF.
     """
 
     name: str
@@ -44,6 +45,8 @@ class InnovationModel:
     smooth: bool
     score_bound: tuple
     cf: callable
+    variance: float
+    pdf_max: float
     scale: float = 1.0
 
     def sample(self, rng, size):
@@ -70,6 +73,8 @@ def _gaussian(scale=1.0):
         scale=s,
         score_bound=(0.0, 1.0 / s**2),
         cf=lambda t: np.exp(-0.5 * (s * np.asarray(t)) ** 2),
+        variance=s * s,
+        pdf_max=1.0 / (_SQRT2PI * s),
     )
 
 
@@ -114,6 +119,8 @@ def _logistic(scale=1.0):
         scale=s,
         score_bound=(1.0 / s, 0.0),
         cf=cf,
+        variance=(math.pi * s) ** 2 / 3.0,
+        pdf_max=0.25 / s,
     )
 
 
@@ -146,6 +153,8 @@ def _uniform():
         smooth=False,
         score_bound=(0.0, 0.0),
         cf=cf,
+        variance=1.0 / 12.0,
+        pdf_max=1.0,
     )
 
 
@@ -187,6 +196,8 @@ def _laplace(scale=1.0):
         scale=s,
         score_bound=(1.0 / s, 0.0),
         cf=lambda t: 1.0 / (1.0 + (s * np.asarray(t)) ** 2),
+        variance=2.0 * s * s,
+        pdf_max=0.5 / s,
     )
 
 
@@ -216,6 +227,8 @@ def _exponential(scale=1.0):
         scale=s,
         score_bound=(1.0 / s, 0.0),
         cf=lambda t: 1.0 / (1.0 - 1j * s * np.asarray(t)),
+        variance=s * s,
+        pdf_max=1.0 / s,
     )
 
 

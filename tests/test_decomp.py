@@ -8,8 +8,10 @@ from scipy.special import ndtr
 from bklab.coefficients import (make_finite_coefficients,
                                 make_power_law_coefficients,
                                 truncation_horizon)
-from bklab.decomp import (TruncatedMarginals, blocked_sums, blocking_layout,
-                          covariance_gamma, decompose, gaussian_limit_sample,
+from bklab.decomp import (GAMMA_TOL, TruncatedMarginals, blocked_sums,
+                          blocking_layout, covariance_gamma, decompose,
+                          gaussian_gamma, gaussian_limit_sample,
+                          lag_tail_bound, monte_carlo_gamma,
                           truncated_summands, y_summands)
 from bklab.empirical import EmpiricalSummary, beta_process
 from bklab.errors import ModelError, NumericalError
@@ -195,11 +197,13 @@ class TestCovariance:
 
     def test_ma1_matches_quadrature(self, ma1_gaussian):
         model, oracle = ma1_gaussian
-        for x, y in ((0.0, 0.0), (-1.0, -1.0), (0.5, -0.5)):
+        for x, y in ((0.0, 0.0), (-1.0, -1.0), (0.5, -0.5), (1.0, 0.5)):
             est = covariance_gamma(model, oracle, x, y, lag_horizon=4,
                                    mc_draws=20_000, seed=8)
             target = gauss_hermite_gamma_ma1(x, y)
-            assert abs(est.gamma - target) < 3.0 * est.stderr
+            assert abs(est.gamma - target) <= 1e-12
+            assert abs(est.gamma - target) <= 3.0 * est.bound
+            assert est.stderr == 0.0 and est.lag_horizon == 0
 
     def test_symmetry_with_shared_seed(self, ma1_gaussian):
         model, oracle = ma1_gaussian
@@ -209,17 +213,55 @@ class TestCovariance:
                              mc_draws=2000, seed=12)
         assert a.gamma == b.gamma
 
-    def test_convergence_flag(self, ma1_gaussian):
+    def test_convergence_flag(self, ma1_gaussian, powerlaw_gaussian):
+        # converged means the certified bound is within GAMMA_TOL: the
+        # closed form reaches it, Monte Carlo lag terms at L = 8 of an
+        # infinite kernel do not, however many draws they take
         model, oracle = ma1_gaussian
         est = covariance_gamma(model, oracle, 0.0, 0.0, lag_horizon=8,
                                mc_draws=4000, seed=3)
-        assert est.converged
-        assert est.horizon_warning is None
-
-    def test_powerlaw_windows_match_row_convolution(self, powerlaw_gaussian):
-        # K = 73 lags, so every tap offset of the window loop is used;
-        # the reference convolves each row of the same draws with np.convolve
+        assert est.converged and est.bound <= GAMMA_TOL
         model, oracle = powerlaw_gaussian
+        est = covariance_gamma(model, oracle, 0.0, 0.0)
+        assert est.converged and est.lag_horizon > 8
+        mc = monte_carlo_gamma(model, oracle, 0.0, 0.0, lag_horizon=8,
+                               mc_draws=4000, seed=3)
+        assert not mc.converged
+        assert mc.bound >= lag_tail_bound(model, 8) > GAMMA_TOL
+
+    def test_closed_form_tail_within_bound(self, powerlaw_gaussian):
+        # Gamma at horizon L moves by at most bound(L) out to any L' > L
+        model, _ = powerlaw_gaussian
+        for x, y in ((0.0, 0.0), (1.0, 1.0), (-0.5, 1.5)):
+            full = gaussian_gamma(model, x, y)
+            assert full.converged
+            for L in (1, 8, 64, 512):
+                est = gaussian_gamma(model, x, y, lag_horizon=L)
+                for longer in (2 * L, 4 * L, full.lag_horizon):
+                    other = gaussian_gamma(model, x, y, lag_horizon=longer)
+                    assert abs(est.gamma - other.gamma) <= est.bound
+                assert est.bound > full.bound
+
+    def test_closed_form_within_monte_carlo_noise(self, ma1_gaussian,
+                                                  powerlaw_gaussian):
+        # at a fixed seed, the Monte Carlo lag terms of the same horizon lie
+        # within 3 stderr of the closed form
+        for model, oracle in (ma1_gaussian, powerlaw_gaussian):
+            for x, y in ((0.0, 0.0), (-1.0, 0.5)):
+                mc = monte_carlo_gamma(model, oracle, x, y, lag_horizon=8,
+                                       mc_draws=20_000, seed=17)
+                exact = gaussian_gamma(model, x, y, lag_horizon=8)
+                assert 0.0 < abs(mc.gamma - exact.gamma) <= 3.0 * mc.stderr
+
+    def test_powerlaw_windows_match_row_convolution(self):
+        # logistic power-law: a non-Gaussian law takes the Monte Carlo lag
+        # terms. K = 73 lags, so every tap offset of the window loop is
+        # used; the reference convolves each row of the same draws with
+        # np.convolve
+        model = LinearProcessModel(
+            innovations=get_innovation("logistic"),
+            coefficients=make_power_law_coefficients(3.0), rho=0.45)
+        oracle = build_marginal_oracle(model)
         L, R, seed, x, y = 8, 1000, 21, 0.3, -0.7
         est = covariance_gamma(model, oracle, x, y, lag_horizon=L,
                                mc_draws=R, seed=seed)
@@ -293,18 +335,6 @@ class TestBlocking:
         freq = exceedance_profile(totals, z)
         assert np.allclose(freq, [1.0, 0.6, 0.2, 0.0])
         assert np.all(np.diff(freq) <= 0)  # nonincreasing in the threshold
-
-    def test_covariance_csv(self, ma1_gaussian):
-        import io
-        from bklab.decomp import covariance_to_csv
-        model, oracle = ma1_gaussian
-        est = covariance_gamma(model, oracle, 0.0, 0.5, lag_horizon=2,
-                               mc_draws=1000, seed=2)
-        buf = io.StringIO()
-        covariance_to_csv([est], buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "x,y,gamma,stderr,lag_horizon,mc_draws"
-        assert lines[1].startswith("0.0,0.5,")
 
     def test_i_blocks_independent(self):
         # lag-1 correlation of the I-block sums across replicates is zero

@@ -398,6 +398,49 @@ class TestCovarianceCheck:
         assert abs(a.var_emp - b.var_emp) < 3.0 * math.hypot(a.var_se, b.var_se)
 
 
+MA1 = {"coefficients": {"kind": "finite", "values": [1.0, 0.5]},
+       "gamma1": 1.0, "gamma2": 1.0}
+
+
+def _gamma_columns(tmp_path, model, covariance, seed, threads="1"):
+    """The gamma, gamma_se and converged columns of covariance.csv, as
+    written by the CLI at master seed ``seed``."""
+    config = make_config(n_grid=(16,), replicates=1, master_seed=seed,
+                         extra={"covariance": covariance}, **model)
+    path = tmp_path / f"config-{seed}.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / f"out-{seed}"
+    assert cli_main(["covariance-check", "--config", str(path), "--out",
+                     str(out), "--threads", threads]) == 0
+    lines = (out / "covariance.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert header[5:] == ["gamma", "gamma_se", "qq_max_dev", "converged"]
+    return [(r[5], r[6], r[8]) for r in (line.split(",") for line in lines[1:])]
+
+
+@pytest.mark.parametrize("model", [MA1, POWER_LAW], ids=["ma1", "power-law"])
+def test_gamma_columns_independent_of_seed(tmp_path, model):
+    # Gamma is a property of the model: for Gaussian innovations its value,
+    # bound and flag come out the same at every master seed
+    covariance = {"n": 256, "replicates": 12, "x_grid": [-1.0, 0.0, 1.0],
+                  "lag_horizon": 8, "mc_draws": 1000}
+    columns = [_gamma_columns(tmp_path, model, covariance, seed)
+               for seed in (1, 2, 131)]
+    assert columns[0] == columns[1] == columns[2]
+    assert [c[2] for c in columns[0]] == ["1", "1", "1"]
+
+
+def test_converged_at_former_false_alarm_seeds(tmp_path):
+    # the benchmark's covariance block, at the master seeds where the
+    # half-horizon Monte Carlo test reported converged = 0
+    covariance = {"n": 2 ** 14, "replicates": 1000,
+                  "x_grid": [-1.0, 0.0, 1.0], "lag_horizon": 8,
+                  "mc_draws": 40_000}
+    for seed in (131, 135, 426):
+        columns = _gamma_columns(tmp_path, MA1, covariance, seed, threads="2")
+        assert [c[2] for c in columns] == ["1", "1", "1"]
+
+
 def test_manifest_contents(tmp_path):
     cfg = config_from_dict(make_config(
         innovation="uniform", rho=0.3, n_grid=(16,), replicates=2,

@@ -117,6 +117,24 @@ def test_cf_matches_quadrature(name):
         assert abs(complex(law.cf(t)) - complex(re, im)) < 1e-12
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_variance_and_pdf_max(name):
+    # Var(eps) by quadrature of the density; the density's supremum
+    # against a fine grid that contains the mode of every law
+    law = (get_innovation(name) if name == "uniform"
+           else get_innovation(name, scale=1.3))
+    lo, hi = float(law.quantile(1e-16)), float(law.quantile(1.0 - 1e-16))
+    kinks = [0.0] if lo < 0.0 < hi else None
+    moment = [quad(lambda x: float(law.pdf(x)) * x ** p, lo, hi,
+                   points=kinks, limit=400, epsabs=1e-13, epsrel=1e-11)[0]
+              for p in (1, 2)]
+    assert law.variance == pytest.approx(moment[1] - moment[0] ** 2,
+                                         rel=1e-10)
+    grid = np.concatenate([np.linspace(lo, hi, 200_001), [0.0]])
+    assert law.pdf_max == pytest.approx(float(np.max(law.pdf(grid))),
+                                        rel=1e-12)
+
+
 def test_logistic_cf_stable_for_large_t():
     law = get_innovation("logistic", scale=0.5)
     t = np.array([0.0, 1e-8, 50.0, 1e3, -1e6])

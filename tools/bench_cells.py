@@ -6,8 +6,10 @@ Usage:
         [--rounds 5] [-o BENCH.json]
 
 Each DIR is a checkout of this repository. A round runs one fresh
-interpreter per tree, in turn, so that a slow spell of the host hits every
-tree alike. The interpreter imports bklab from ``DIR/src``, builds the
+interpreter per tree, in turn, and each round starts one tree later than
+the one before (with two trees, they alternate which runs first), so that
+neither a slow spell of the host nor the order favours a tree. The
+interpreter imports bklab from ``DIR/src``, builds the
 oracle of each reference model, runs one warm-up cell per n and then times
 one cell per n, stage by stage:
 
@@ -26,6 +28,12 @@ replay's row is checked against it. Medians and minima are over rounds.
 Before any of that, the same interpreter records its start-up: the wall
 time of ``import bklab.cli``, the peak resident set size (``ru_maxrss``)
 right after it, and the public ``scipy.*`` modules the import loaded.
+
+After the cells it times the covariance stage of ``covariance-check`` on
+the benchmark's block (Gaussian MA(1) [1, 0.5], lag horizon 8, 40 000
+draws): ``harness.covariance_gamma`` at x = -1, 0 and 1 with the seeds
+``run_covariance_check`` derives, after one warm-up call, and records the
+three values it returned.
 """
 
 import argparse
@@ -56,6 +64,12 @@ MODELS = {
     "logistic-powerlaw": (dict(POWER_LAW, innovation={"name": "logistic"}),
                           2.5),
 }
+# the covariance block of the benchmark's diagnostics workload
+COVARIANCE_MODEL = {"innovation": {"name": "gaussian"},
+                    "coefficients": {"kind": "finite", "values": [1.0, 0.5]},
+                    "rho": 0.45, "gamma1": 1.0, "gamma2": 1.0}
+COVARIANCE = {"n": 2 ** 14, "replicates": 1000, "x_grid": [-1.0, 0.0, 1.0],
+              "lag_horizon": 8, "mc_draws": 40_000}
 
 
 def _config(model, nu, seed):
@@ -208,7 +222,33 @@ def measure(tree, seed, replicate):
                                    f"_rate_cell: {row} vs {expected}")
             cells[str(n)] = dict(clock.seconds, cell=cell_s)
         out[name] = cells
+    out["covariance"] = _covariance_stage(harness, seed)
     return out
+
+
+def _covariance_stage(harness, seed):
+    """Seconds of the three Gamma(x, x) calls of ``run_covariance_check``
+    on the benchmark's block, and the (gamma, converged) they returned."""
+    from bklab.seeds import mix_seed
+
+    config = harness.config_from_dict(dict(
+        _config(COVARIANCE_MODEL, None, seed), covariance=COVARIANCE))
+    model = harness.build_model(config)
+    oracle = harness.build_oracle(model, config)
+    n = COVARIANCE["n"]
+
+    def gamma(ix, x):
+        return harness.covariance_gamma(
+            model, oracle, x, x, lag_horizon=COVARIANCE["lag_horizon"],
+            mc_draws=COVARIANCE["mc_draws"],
+            seed=mix_seed(config.master_seed, n, 1_000_000 + ix),
+            trunc_tol=config.trunc_tol)
+
+    gamma(0, COVARIANCE["x_grid"][0])  # warm-up
+    start = time.perf_counter()
+    ests = [gamma(ix, x) for ix, x in enumerate(COVARIANCE["x_grid"])]
+    return {"gamma_s": time.perf_counter() - start,
+            "values": [[e.x, e.gamma, bool(e.converged)] for e in ests]}
 
 
 def _commit(tree):
@@ -263,8 +303,11 @@ def main(argv=None):
     if not trees:
         p.error("give at least one --tree LABEL=DIR")
     raw = {label: [] for label in trees}
+    labels = list(trees)
     for rnd in range(args.rounds):
-        for label, tree in trees.items():
+        shift = rnd % len(labels)
+        for label in labels[shift:] + labels[:shift]:
+            tree = trees[label]
             run = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--measure",
                  os.path.abspath(tree), "--seed", str(args.seed),
@@ -278,6 +321,7 @@ def main(argv=None):
         "host": {"nproc": os.cpu_count(), "cpu_model": _cpu_model(),
                  "python": platform.python_version()},
         "rounds": args.rounds, "seed": args.seed,
+        "order": "round r starts with tree r mod len(trees)",
         "stages": list(STAGES),
         "trees": {},
     }
@@ -295,6 +339,10 @@ def main(argv=None):
                                                  for r in runs])
                                    for k in keys}
             models[name] = entry
+        models["covariance"] = {
+            "gamma(x,x) at x=-1,0,1": _summary(
+                [r["covariance"]["gamma_s"] for r in runs]),
+            "values_round_1": runs[0]["covariance"]["values"]}
         record["trees"][label] = dict(_commit(tree), startup={
             "import_bklab_cli": _summary([s["import_s"] for s in startup]),
             "maxrss_after_import_mb": {"median": statistics.median(rss),
