@@ -228,7 +228,7 @@ def measure(tree, seed, replicate):
 
 def _covariance_stage(harness, seed):
     """Seconds of the three Gamma(x, x) calls of ``run_covariance_check``
-    on the benchmark's block, and the (gamma, converged) they returned."""
+    on the benchmark's block, and the (x, gamma, converged) they returned."""
     from bklab.seeds import mix_seed
 
     config = harness.config_from_dict(dict(
