@@ -18,8 +18,7 @@ from .coefficients import (CoefficientSequence, make_coefficients,
                            make_finite_coefficients,
                            make_geometric_coefficients,
                            make_power_law_coefficients, truncation_horizon)
-from .decomp import (BlockingLayout, CovarianceEstimate, DecompositionAt,
-                     TruncatedMarginals, blocked_sums, blocking_layout,
+from .decomp import (CovarianceEstimate, DecompositionAt, TruncatedMarginals,
                      covariance_gamma, decompose, gaussian_limit_sample,
                      truncated_summands)
 from .empirical import (EmpiricalSummary, alpha_process, beta_process, edf,
@@ -32,7 +31,6 @@ from .harness import (ExperimentConfig, config_from_dict, config_from_file,
 from .innovations import InnovationModel, get_innovation
 from .model import (LinearProcessModel, MarginalOracle,
                     build_marginal_oracle, check_dependence_condition,
-                    csr_exponents, exact_marginal_oracle, marginal_quantile,
-                    validate_innovation)
+                    exact_marginal_oracle, validate_innovation)
 from .paths import SamplePath, pit_transform, simulate_path, truncate_path
 from .seeds import mix_seed, splitmix64

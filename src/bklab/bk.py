@@ -36,14 +36,11 @@ the smallest margin and the bisected-piece count do not depend on the
 block size. The exact pass keeps no residual values.
 
 L comes from the oracle (:func:`_score_bound`): |x|/sigma^2 for the exact
-Gaussian oracle; alpha + beta (|x| + max |s_j|) for a mixture over
-predictor points s_j of an innovation with |f_eps'/f_eps|(z) <= alpha +
-beta |z|, because f' = mean_j f_eps'(x - s_j); and for the Fourier engine
-the innovation's bounded score alpha, widened by the engine's error bounds
-relative to the smallest density at the ends of the sup's range. A
-mixture over several points or the engine needs a smooth innovation
-density, and is a ModelError otherwise (the same models the harness's
-smoothness gate rejects).
+Gaussian oracle; alpha + beta |x| for the single-point oracle of an
+innovation with |f_eps'/f_eps|(z) <= alpha + beta |z|; and for the
+Fourier engine the innovation's bounded score alpha, widened by the
+engine's error bounds relative to the smallest density at the ends of the
+sup's range.
 
 ``refine=<int>`` selects the brute-force grid instead: both one-sided
 limits at every jump, sampled 1e-12 to either side, plus ``refine``
@@ -173,10 +170,10 @@ def residual_pointwise(summary, pit_summary, oracle, y):
 
 
 def _score_bound(oracle, f_ends):
-    """(alpha, beta, shift) with |f'/f|(x) <= alpha + beta (|x| + shift)
-    for the oracle's served density, at every x between the quantiles of
-    the sup's outermost breakpoints, where the served density is
-    ``f_ends`` (the smaller of its two values there).
+    """(alpha, beta) with |f'/f|(x) <= alpha + beta |x| for the oracle's
+    served density, at every x between the quantiles of the sup's
+    outermost breakpoints, where the served density is ``f_ends`` (the
+    smaller of its two values there).
 
     For the Fourier engine, let g be the wrapped true density
     sum_m f(x + 2mD), which the series approximates. The innovation's
@@ -192,7 +189,7 @@ def _score_bound(oracle, f_ends):
     |f_s'/f_s| <= a + (a E0 + E1) / floor.
     """
     if oracle.use_exact:
-        return 0.0, 1.0 / oracle.sigma_exact ** 2, 0.0
+        return 0.0, 1.0 / oracle.sigma_exact ** 2
     engine = oracle.engine
     if engine is not None:
         a, b = oracle.innovation.score_bound
@@ -207,15 +204,8 @@ def _score_bound(oracle, f_ends):
                 f"density {f_ends:.3g} at the ends of the sup's range is "
                 f"within the Fourier engine's error bound")
         e0, e1 = engine.density_error, engine.deriv_error
-        return a + (a * e0 + e1) / floor, 0.0, 0.0
-    points = oracle.mixture_points
-    innov = oracle.innovation
-    if points.size > 1 and not innov.smooth:
-        raise ModelError(
-            f"the exact residual sup needs a smooth innovation density for "
-            f"a mixture oracle; {innov.name!r} is not smooth")
-    alpha, beta = innov.score_bound
-    return alpha, beta, float(np.max(np.abs(points)))
+        return a + (a * e0 + e1) / floor, 0.0
+    return oracle.innovation.score_bound
 
 
 def _jump_slots(v, n, strict):
@@ -336,10 +326,10 @@ class _Pieces:
 
     def margin(self, score):
         """2 - L d: positive where R is certified increasing."""
-        alpha, beta, shift = score
+        alpha, beta = score
         top = np.maximum(np.abs(self.ql), np.abs(self.qr))
         d = np.maximum(np.abs(self.ql - self.x), np.abs(self.qr - self.x))
-        return 2.0 - (alpha + beta * (top + shift)) * d
+        return 2.0 - (alpha + beta * top) * d
 
     def bound(self, margin, rn, al, ar):
         """Upper bound of |R| on each piece, given al = |rl| and ar = |rr|:

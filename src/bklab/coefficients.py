@@ -35,7 +35,7 @@ class CoefficientSequence:
         self.params = params
         self._weights_fn = weights_fn
         self._tail_sq_fn = tail_sq_fn
-        self._root_tail_fn = root_tail_fn
+        self._sqrt_tail_sum_fn = root_tail_fn
         self.abs_sum = float(abs_sum)
         #: largest index with a nonzero coefficient, or None if infinite
         self.memory = memory
@@ -63,7 +63,7 @@ class CoefficientSequence:
         """sum_{j>=i} sqrt(tail_sq(j)) for integer i >= 0."""
         if i < 0:
             raise ValueError("tail index must be >= 0")
-        return self._root_tail_fn(int(i))
+        return self._sqrt_tail_sum_fn(int(i))
 
     @property
     def c0(self):

@@ -22,8 +22,8 @@ bound picks; other laws average Monte Carlo predictor windows up to a
 given horizon. Every estimate carries a certified error bound.
 
 Per-index truncation (lags below i^rho) yields the finite-memory
-companions Y-hat used by the alternating blocking layout, whose I-block
-sums are exactly independent by construction.
+companions Y-hat, each exactly centered by the CDF of its truncated
+process.
 """
 
 import math
@@ -360,87 +360,6 @@ def covariance_gamma(model, oracle, x, y, lag_horizon=8, mc_draws=4000,
     return monte_carlo_gamma(model, oracle, x, y, lag_horizon=lag_horizon,
                              mc_draws=mc_draws, seed=seed,
                              trunc_tol=trunc_tol)
-
-
-# ---------------------------------------------------------------------------
-# alternating blocks
-
-
-@dataclass(frozen=True)
-class BlockingLayout:
-    """Alternating I/J blocks of length floor(n^rho) partitioning [1, n]."""
-
-    n: int
-    rho: float
-    block_len: int
-    starts: np.ndarray  # 1-based start index of each block
-    ends: np.ndarray    # 1-based inclusive end index
-
-    @property
-    def pair_count(self):
-        return len(self.starts) // 2
-
-    def block(self, j):
-        """Zero-based slice bounds of block j into a length-n array."""
-        return int(self.starts[j]) - 1, int(self.ends[j])
-
-
-def blocking_layout(n, rho):
-    n = int(n)
-    if not (0.0 < rho < 0.5):
-        raise ModelError(f"rho must lie strictly in (0, 1/2), got {rho}")
-    block_len = int(math.floor(n ** rho))
-    if n < 2 * block_len:
-        raise ModelError(
-            f"n={n} is too short for one full block pair of length {block_len}")
-    starts = np.arange(1, n + 1, block_len, dtype=np.int64)
-    ends = np.minimum(starts + block_len - 1, n)
-    return BlockingLayout(n=n, rho=rho, block_len=block_len,
-                          starts=starts, ends=ends)
-
-
-@dataclass(frozen=True)
-class BlockTailStats:
-    total_abs: float
-    max_block_abs: float
-    block_len: int
-    pair_count: int
-
-
-def blocked_sums(path, trunc_marginals, rho, x, y):
-    """Per-block sums of Y-hat_i(x, y) = Y-hat_i(y) - Y-hat_i(x).
-
-    Returns (U, V, stats): U over the odd-position blocks I_k, V over the
-    even-position blocks J_k. The I sums are mutually independent for the
-    truncated process because the J gaps absorb every retained lag.
-    """
-    if not x < y:
-        raise ValueError("need x < y")
-    layout = blocking_layout(path.n, rho)
-    d = (truncated_summands(path, trunc_marginals, rho, y)
-         - truncated_summands(path, trunc_marginals, rho, x))
-    cum = np.concatenate([[0.0], np.cumsum(d)])
-    sums = cum[layout.ends] - cum[layout.starts - 1]
-    u = sums[0::2]
-    v = sums[1::2]
-    stats = BlockTailStats(
-        total_abs=float(abs(d.sum())),
-        max_block_abs=float(np.abs(sums).max()),
-        block_len=layout.block_len,
-        pair_count=layout.pair_count)
-    return u, v, stats
-
-
-def exceedance_profile(totals, z_grid):
-    """Empirical exceedance frequencies of replicate totals over thresholds.
-
-    Diagnostic for the tail-envelope shape: returns the fraction of
-    |totals| exceeding each z (the envelope predicts a power-law piece in
-    z and Gaussian and exponential pieces in z^2/n and z/n^rho).
-    """
-    t = np.abs(np.asarray(totals, dtype=float))
-    z = np.asarray(z_grid, dtype=float)
-    return np.array([(t > zi).mean() for zi in z])
 
 
 # ---------------------------------------------------------------------------

@@ -136,20 +136,14 @@ def build_model(config):
 def build_oracle(model, config):
     """The config's oracle. ``auto`` picks the exact oracle for Gaussian
     innovations, the single-point oracle for a memoryless kernel and the
-    Fourier engine otherwise; ``mixture`` is the Monte Carlo cross-check."""
+    Fourier engine otherwise; ``exact`` requires Gaussian innovations."""
     spec = config.oracle
     mode = spec.get("mode", "auto")
     if mode == "exact":
         return exact_marginal_oracle(model)
-    if mode == "mixture":
-        return build_marginal_oracle(
-            model, mixture_points=spec.get("mixture_points", 100_000),
-            seed=spec.get("seed", 0), trunc_tol=spec.get("trunc_tol"))
     if mode == "auto":
         if model.innovations.name == "gaussian":
             return exact_marginal_oracle(model)
-        if model.coefficients.memory == 0:
-            return build_marginal_oracle(model, mixture_points=1, seed=0)
         return build_marginal_oracle(model, trunc_tol=spec.get("trunc_tol"))
     raise ConfigError(f"unknown oracle mode {mode!r}")
 
@@ -239,14 +233,23 @@ def _oracle_record(oracle):
 
 
 def _init_worker(raw, cell):
-    config = config_from_dict(raw)
-    model = build_model(config)
-    oracle = build_oracle(model, config)
+    """Build the config, model and oracle once per process. A failure is
+    kept for :func:`_run_cell` to raise: a pool respawns a worker whose
+    initializer raises, forever."""
+    try:
+        config = config_from_dict(raw)
+        model = build_model(config)
+        oracle = build_oracle(model, config)
+    except Exception as exc:
+        _WORKER["error"] = exc
+        return
     _WORKER["oracle"] = _oracle_record(oracle)
     _WORKER["cell"] = functools.partial(cell, model, oracle, config)
 
 
 def _run_cell(n, r):
+    if "error" in _WORKER:
+        raise _WORKER["error"]
     return _WORKER["cell"](n, r)
 
 

@@ -3,7 +3,7 @@
 The stationary marginal of X_i = sum_k c_k eps_{i-k} has CDF
 F(x) = E F_eps(x - P) where P = sum_{k>=1} c_k eps_{-k} is the one-step
 predictor, and characteristic function phi_X(t) = prod_k phi_eps(c_k t).
-The oracle realizes F, f and Q in one of four ways:
+The oracle realizes F, f and Q in one of three ways:
 
 * exact: Gaussian innovations, F(x) = Phi(x/sigma), sigma^2 = sum c_k^2;
 * single-point: a memoryless kernel, F = F_eps, served by the
@@ -12,10 +12,7 @@ The oracle realizes F, f and Q in one of four ways:
   up to the horizon K, a Gaussian top-up for the rest) is inverted once
   by the trapezoidal Gil-Pelaez series onto a table, from which F and f
   are served by Hermite interpolation and Q by Newton steps, all
-  vectorized and deterministic (:class:`FourierMarginal`);
-* mixture: the Monte Carlo mean F(x) = mean_j F_eps(x - s_j) over i.i.d.
-  predictor draws s_j, kept as a cross-check, with its quantile by
-  bracketed root finding.
+  vectorized and deterministic (:class:`FourierMarginal`).
 """
 
 import math
@@ -25,10 +22,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .coefficients import CoefficientSequence, truncation_horizon
-from .errors import ModelError, NumericalError
+from .errors import ModelError
 from .innovations import InnovationModel
-
-_MIX_CHUNK = 12_500_000  # cap on |x| * M products per broadcast block
 
 
 @dataclass(frozen=True)
@@ -36,8 +31,7 @@ class LinearProcessModel:
     """Innovation law + coefficient kernel + truncation exponent rho.
 
     gamma1/gamma2 are the regular-variation exponents of f(Q(y)) at the
-    lower/upper endpoint, supplied as model metadata when known (they can
-    be estimated with :func:`csr_exponents` otherwise).
+    lower/upper endpoint, supplied as model metadata.
     """
 
     innovations: InnovationModel
@@ -509,67 +503,52 @@ class MarginalOracle:
     """Numerical F, f, Q of the stationary marginal.
 
     ``engine`` is the :class:`FourierMarginal` that serves a ``fourier``
-    oracle. Otherwise ``mixture_points`` holds the i.i.d. predictor draws
-    s_j; the mixture forms are F(x) = mean_j F_eps(x - s_j) and
-    f(x) = mean_j f_eps(x - s_j), with Q by bracketed root finding; a
-    single point s_0 is served directly as F_eps(x - s_0), f_eps(x - s_0)
-    and s_0 + Q_eps(y). When ``sigma_exact`` is set (Gaussian
-    innovations) the closed form Phi(x/sigma) is available as ground
-    truth; ``use_exact`` selects it as the serving implementation.
+    oracle; without one the oracle is ``single-point`` and serves the
+    innovation's own cdf, pdf and quantile (a memoryless kernel, F =
+    F_eps). When ``sigma_exact`` is set (Gaussian innovations) the closed
+    form Phi(x/sigma) is available as ground truth; ``use_exact`` selects
+    it as the serving implementation.
     """
 
     model_id: str
     innovation: InnovationModel
-    mixture_points: np.ndarray | None
-    seed: int | None
     sigma_exact: float | None
     use_exact: bool
     gamma1: float | None = None
     gamma2: float | None = None
-    warning: str | None = None
-    _bracket: tuple = field(default=None, repr=False)
     engine: FourierMarginal | None = field(default=None, repr=False)
 
     @property
     def kind(self):
-        """``exact``, ``fourier``, ``single-point`` or ``mixture``."""
+        """``exact``, ``fourier`` or ``single-point``."""
         if self.use_exact:
             return "exact"
-        if self.engine is not None:
-            return "fourier"
-        return "single-point" if self.mixture_points.size == 1 else "mixture"
+        return "single-point" if self.engine is None else "fourier"
 
     @property
     def cdf_error_bound(self):
-        """Bound of sup |F_served - F|: 0 for the closed forms, the
-        engine's build-time bound for ``fourier``, and for a mixture the
-        DKW bound that holds with probability 0.999 over its draws."""
+        """Bound of sup |F_served - F|: 0 for the closed forms and the
+        engine's build-time bound for ``fourier``."""
         if self.kind == "fourier":
             return self.engine.cdf_error_bound
-        if self.kind == "mixture":
-            return math.sqrt(math.log(2.0 / 1e-3)
-                             / (2.0 * self.mixture_points.size))
         return 0.0
+
+    @property
+    def _served(self):
+        """The engine, or the innovation law itself for ``single-point``."""
+        return self.innovation if self.engine is None else self.engine
 
     # -- serving implementations ------------------------------------------
 
     def cdf(self, x):
         if self.use_exact:
             return self.exact_cdf(x)
-        if self.engine is not None:
-            return _shaped(self.engine.cdf, x)
-        if self.mixture_points.size == 1:
-            return self._single_point(self.innovation.cdf, x)
-        return self._mixture_mean(self.innovation.cdf, x)
+        return _shaped(self._served.cdf, x)
 
     def pdf(self, x):
         if self.use_exact:
             return self.exact_pdf(x)
-        if self.engine is not None:
-            return _shaped(self.engine.pdf, x)
-        if self.mixture_points.size == 1:
-            return self._single_point(self.innovation.pdf, x)
-        return self._mixture_mean(self.innovation.pdf, x)
+        return _shaped(self._served.pdf, x)
 
     def quantile(self, y):
         y_arr = np.asarray(y, dtype=float)
@@ -578,15 +557,7 @@ class MarginalOracle:
         if self.use_exact:
             out = self.sigma_exact * ndtri(y_arr)
             return float(out) if np.isscalar(y) or y_arr.shape == () else out
-        if self.engine is not None:
-            return _shaped(self.engine.quantile, y)
-        if self.mixture_points.size == 1:
-            # single-point mixture: F(x) = F_eps(x - s0), so Q is exact
-            out = self.mixture_points[0] + self.innovation.quantile(y_arr)
-            return float(out) if np.isscalar(y) or y_arr.shape == () else out
-        if y_arr.shape == ():
-            return self._root(float(y_arr))
-        return np.array([self._root(v) for v in y_arr.ravel()]).reshape(y_arr.shape)
+        return _shaped(self._served.quantile, y)
 
     # -- exact Gaussian closed form ----------------------------------------
 
@@ -607,50 +578,6 @@ class MarginalOracle:
         if self.sigma_exact is None:
             raise ModelError("no closed-form marginal for this model")
 
-    # -- internals -----------------------------------------------------------
-
-    def _single_point(self, fn, x):
-        """fn(x - s0): the mixture mean over one point, served directly."""
-        s0 = self.mixture_points[0]
-        return _shaped(lambda v: fn(v - s0), x)
-
-    def _mixture_mean(self, fn, x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        s = self.mixture_points
-        out = np.empty_like(x_arr)
-        block = max(1, _MIX_CHUNK // max(s.size, 1))
-        for i in range(0, x_arr.size, block):
-            xs = x_arr[i:i + block]
-            out[i:i + block] = fn(xs[:, None] - s[None, :]).mean(axis=1)
-        if np.isscalar(x) or np.asarray(x).shape == ():
-            return float(out[0])
-        return out
-
-    def _root(self, y, xtol=1e-13):
-        """Q(y) of the Monte Carlo mixture: the bracket is widened until
-        it holds y, then refined by ``brentq``. ``scipy.optimize`` is
-        imported here, on the first mixture quantile, because no other
-        oracle needs it."""
-        lo, hi = self._bracket
-        width = max(hi - lo, 1.0)
-        for _ in range(200):
-            if self.cdf(lo) < y:
-                break
-            lo -= width
-            width *= 2.0
-        else:
-            raise NumericalError(f"cannot bracket quantile at y={y}")
-        width = max(hi - lo, 1.0)
-        for _ in range(200):
-            if self.cdf(hi) > y:
-                break
-            hi += width
-            width *= 2.0
-        else:
-            raise NumericalError(f"cannot bracket quantile at y={y}")
-        from scipy.optimize import brentq
-        return brentq(lambda t: self.cdf(t) - y, lo, hi, xtol=xtol, rtol=8.9e-16)
-
 
 def _shaped(fn, v):
     """fn over the flattened array v, in v's shape; a float for a scalar."""
@@ -659,80 +586,35 @@ def _shaped(fn, v):
     return float(out) if arr.shape == () else out
 
 
-def build_marginal_oracle(model, mixture_points=None, seed=0,
-                          trunc_tol=None):
-    """Numerical marginal oracle: the Fourier engine, or a Monte Carlo
-    mixture over i.i.d. draws of the predictor when ``mixture_points`` is
-    given.
+def build_marginal_oracle(model, trunc_tol=None):
+    """Numerical marginal oracle: the single-point oracle for a memoryless
+    kernel, whose predictor is identically zero, and the Fourier engine
+    for a model with memory.
 
-    Parameters
-    ----------
-    model : LinearProcessModel
-    mixture_points : int, optional
-        Number M of predictor draws; below 1000 a warning is attached.
-        None selects the Fourier engine for a model with memory.
-    seed : int
-        Reproducibility token for the draws.
-    trunc_tol : float, optional
-        Predictor truncation tolerance (defaults to 1e-6 * sigma): lags
-        up to the horizon K enter exactly, the rest as a Gaussian top-up
-        (the engine; a mixture tops up Gaussian innovations only).
-
-    Notes
-    -----
-    For a memoryless kernel the predictor is identically zero and the
-    oracle is exact (single mixture point at 0). The engine needs a
-    smooth innovation law and raises ModelError otherwise. For Gaussian
-    innovations the closed form Phi(x/sigma) is attached as ground truth,
-    and mixture draws are tail-compensated so their law is exactly the
-    predictor law.
+    ``trunc_tol`` is the predictor truncation tolerance (defaults to
+    1e-6 * sigma): lags up to the horizon K enter the engine exactly, the
+    rest as a Gaussian top-up. The engine needs a smooth innovation law
+    and raises ModelError otherwise. For Gaussian innovations the closed
+    form Phi(x/sigma) is attached as ground truth.
     """
     innov = model.innovations
     coeffs = model.coefficients
-    if trunc_tol is None:
-        trunc_tol = 1e-6 * max(model.sigma, 1e-12)
-    if mixture_points is None and coeffs.memory != 0:
+    engine = None
+    if coeffs.memory != 0:
         if not innov.smooth:
             raise ModelError(
                 f"the Fourier marginal engine needs a smooth innovation "
                 f"density; {innov.name!r} is not smooth")
+        if trunc_tol is None:
+            trunc_tol = 1e-6 * max(model.sigma, 1e-12)
         K = truncation_horizon(coeffs, trunc_tol / max(innov.scale, 1e-300))
         engine = FourierMarginal(innov, coeffs.weights(K),
                                  coeffs.tail_sq(K + 1) * innov.scale ** 2)
-        return MarginalOracle(
-            model_id=model.model_id, innovation=innov, mixture_points=None,
-            seed=None,
-            sigma_exact=model.sigma if innov.name == "gaussian" else None,
-            use_exact=False, gamma1=model.gamma1, gamma2=model.gamma2,
-            engine=engine)
-
-    M = 1 if mixture_points is None else int(mixture_points)
-    warning = None
-    if M < 1000:
-        warning = f"mixture_points={M} below 1000; quantile accuracy degrades"
-
-    gaussian = innov.name == "gaussian"
-    if coeffs.memory == 0:
-        s = np.zeros(1)
-    else:
-        K = truncation_horizon(coeffs, trunc_tol / max(innov.scale, 1e-300))
-        w = coeffs.weights(K)[1:]  # predictor uses lags k >= 1
-        rng = np.random.default_rng(seed)
-        eps = innov.sample(rng, (M, w.size))
-        s = eps @ w if w.size else np.zeros(M)
-        tail_var = coeffs.tail_sq(K + 1) * innov.scale ** 2
-        if gaussian and tail_var > 0.0:
-            s = s + math.sqrt(tail_var) * rng.standard_normal(M)
-        s.sort()
-
-    sigma_exact = model.sigma if gaussian else None
-    lo = float(s[0] + innov.quantile(1e-9))
-    hi = float(s[-1] + innov.quantile(1.0 - 1e-9))
     return MarginalOracle(
-        model_id=model.model_id, innovation=innov, mixture_points=s,
-        seed=seed, sigma_exact=sigma_exact, use_exact=False,
-        gamma1=model.gamma1, gamma2=model.gamma2, warning=warning,
-        _bracket=(lo, hi))
+        model_id=model.model_id, innovation=innov,
+        sigma_exact=model.sigma if innov.name == "gaussian" else None,
+        use_exact=False, gamma1=model.gamma1, gamma2=model.gamma2,
+        engine=engine)
 
 
 def exact_marginal_oracle(model):
@@ -742,44 +624,5 @@ def exact_marginal_oracle(model):
             f"no closed-form marginal for {model.innovations.name} innovations")
     return MarginalOracle(
         model_id=model.model_id, innovation=model.innovations,
-        mixture_points=None, seed=None, sigma_exact=model.sigma,
-        use_exact=True, gamma1=model.gamma1, gamma2=model.gamma2)
-
-
-def marginal_quantile(oracle, y):
-    """Q(y) with F(Q(y)) = y: closed form for the exact and single-point
-    oracles, table-seeded Newton steps for ``fourier``, bracketed root
-    finding for a mixture."""
-    return oracle.quantile(y)
-
-
-@dataclass(frozen=True)
-class CsrEstimate:
-    gamma1: float
-    gamma2: float
-    resid1: float
-    resid2: float
-    y_probe: tuple
-
-
-def csr_exponents(oracle, y_lo=1e-5, y_hi=1e-2, points=12):
-    """Estimate the endpoint regular-variation exponents of f(Q(y)).
-
-    Least-squares slope of log f(Q(y)) on log y over y in [y_lo, y_hi]
-    for gamma1, and mirrored at the upper endpoint for gamma2. Supplied
-    model metadata should override these estimates when available.
-    """
-    y = np.geomspace(y_lo, y_hi, points)
-
-    def slope(probe, logged):
-        fq = oracle.pdf(np.asarray(oracle.quantile(probe)))
-        if np.any(fq <= 0.0):
-            raise NumericalError("density vanishes on the probe grid")
-        coef, res = np.polyfit(logged, np.log(fq), 1, full=True)[:2]
-        rms = math.sqrt(res[0] / points) if len(res) else 0.0
-        return float(coef[0]), rms
-
-    g1, r1 = slope(y, np.log(y))
-    g2, r2 = slope(1.0 - y, np.log(y))
-    return CsrEstimate(gamma1=g1, gamma2=g2, resid1=r1, resid2=r2,
-                       y_probe=(y_lo, y_hi))
+        sigma_exact=model.sigma, use_exact=True, gamma1=model.gamma1,
+        gamma2=model.gamma2)

@@ -92,7 +92,7 @@ def test_01_decomposition_identity():
         model = build_model(cfg)
         cases.append((name, model, build_oracle(model, cfg)))
     cases.append(("ma2-logistic", logistic_ma2,
-                  build_marginal_oracle(logistic_ma2, 20_000, seed=4)))
+                  build_marginal_oracle(logistic_ma2)))
 
     worst = 0.0
     n = 1000

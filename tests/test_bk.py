@@ -268,12 +268,12 @@ def lipschitz(xs, oracle, y, score):
     return 1.01 * math.sqrt(xs.n) * (2.0 + np.max(score(q)) * d)
 
 
-def logistic_powerlaw():
+def logistic_powerlaw_fourier():
     model = LinearProcessModel(
         innovations=get_innovation("logistic"),
         coefficients=make_power_law_coefficients(3.0), rho=0.45,
         gamma1=1.0, gamma2=1.0)
-    return model, build_marginal_oracle(model, mixture_points=500, seed=0)
+    return model, build_marginal_oracle(model)
 
 
 class TestExactSup:
@@ -362,7 +362,7 @@ class TestExactSup:
         model = LinearProcessModel(
             innovations=get_innovation(innovation),
             coefficients=make_finite_coefficients([1.0]), rho=0.3)
-        oracle = build_marginal_oracle(model, mixture_points=1, seed=0)
+        oracle = build_marginal_oracle(model)
         n, nu = 16, 2.5
         xs, us = summaries(model, oracle, n, mix_seed(5, n, replicate))
         series = weighted_residual_sup(xs, us, oracle, nu, gamma=1.0)
@@ -383,29 +383,12 @@ class TestExactSup:
             residual_sup(xs, us, oracle, 0.0, 0.5)
         assert residual_sup(xs, us, oracle, 0.0, 0.5, refine=8).sup_abs > 0
 
-    def test_non_smooth_mixture_rejected(self):
-        # MA(1) uniform: f' of a mixture over several points is not the
-        # mixture of f_eps', so no piece can be certified
-        model = LinearProcessModel(
-            innovations=get_innovation("uniform"),
-            coefficients=make_finite_coefficients([1.0, 0.5]), rho=0.3)
-        oracle = build_marginal_oracle(model, mixture_points=200, seed=0)
-        xs, us = summaries(model, oracle, 64, 1)
-        with pytest.raises(ModelError, match="smooth"):
-            residual_sup(xs, us, oracle, 0.05, 0.95)
 
-
-def logistic_powerlaw_fourier():
-    model = logistic_powerlaw()[0]
-    return model, build_marginal_oracle(model)
-
-
-# model name -> (oracle fixture, None for the logistic mixture or a builder
-# of a logistic oracle; n values)
+# model name -> (oracle fixture, or a function that builds a logistic
+# oracle; n values)
 CROSS_CHECK = {
     "gaussian-powerlaw": ("powerlaw_gaussian", (2 ** 14,)),
     "iid-uniform": ("iid_uniform", (2 ** 14,)),
-    "logistic-powerlaw": (None, (16, 24)),
     "logistic-powerlaw-fourier": (logistic_powerlaw_fourier, (16, 24)),
 }
 
@@ -420,7 +403,7 @@ def test_exact_sup_against_refinement_grids(request, name):
     otherwise."""
     fixture, n_values = CROSS_CHECK[name]
     if not isinstance(fixture, str):
-        model, oracle = (fixture or logistic_powerlaw)()
+        model, oracle = fixture()
         score = lambda q: np.ones_like(q)
     else:
         model, oracle = request.getfixturevalue(fixture)
@@ -460,7 +443,7 @@ def test_exact_sup_against_refinement_grids(request, name):
                 assert (weighted.weighted_sup - gw.weighted_sup
                         <= lip_w * step + 1e-12)
     if not isinstance(fixture, str):
-        # the logistic oracles have pieces whose certificate fails and that
+        # the logistic oracle has pieces whose certificate fails and that
         # the plain sup must bisect
         assert refined > 0
 
@@ -470,8 +453,8 @@ class TestFourierCertificate:
         model, oracle = logistic_powerlaw_fourier()
         lo, hi = oracle.quantile(np.array([1e-6, 1.0 - 1e-6]))
         f_ends = float(np.min(oracle.pdf(np.array([lo, hi]))))
-        alpha, beta, shift = _score_bound(oracle, f_ends)
-        assert beta == 0.0 and shift == 0.0
+        alpha, beta = _score_bound(oracle, f_ends)
+        assert beta == 0.0
         assert 1.0 < alpha < 1.0 + 1e-6  # logistic scale 1, widened
         x = np.linspace(lo, hi, 400_001)
         j, t = oracle.engine._cell(x)

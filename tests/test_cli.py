@@ -10,6 +10,10 @@ from bklab.cli import main
 from conftest import make_config
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+
+
 def write_config(tmp_path, d, name="config.json"):
     p = tmp_path / name
     p.write_text(json.dumps(d))
@@ -18,19 +22,36 @@ def write_config(tmp_path, d, name="config.json"):
 
 def test_import_loads_no_heavy_scipy_subpackage():
     # scipy.signal, which loads stats, interpolate and optimize, is imported
-    # only by the FFT convolution branch, and scipy.optimize only by the
-    # mixture oracle's root
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
+    # only by the FFT convolution branch; nothing else imports scipy.optimize
     code = ("import sys, bklab.cli; print(' '.join(sorted(m for m in "
             "sys.modules if m.startswith('scipy.'))))")
     run = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True, timeout=120,
-                         env=dict(os.environ, PYTHONPATH=src))
+                         env=dict(os.environ, PYTHONPATH=SRC))
     loaded = set(run.stdout.split())
     for name in ("scipy.signal", "scipy.optimize", "scipy.stats",
                  "scipy.interpolate"):
         assert name not in loaded
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("innovation, oracle, message", [
+    ("gaussian", {"mode": "mixture"}, "unknown oracle mode 'mixture'"),
+    ("logistic", {"mode": "exact"}, "no closed-form marginal"),
+], ids=["mixture-mode", "exact-logistic"])
+def test_oracle_build_error_exits(tmp_path, threads, innovation, oracle,
+                                  message):
+    # a worker that cannot build the oracle fails the scan with the
+    # config error, at any thread count, instead of respawning forever
+    cfg = write_config(tmp_path, make_config(
+        innovation=innovation, n_grid=(16,), replicates=2, oracle=oracle))
+    run = subprocess.run(
+        [sys.executable, "-m", "bklab.cli", "rate-scan", "--config", cfg,
+         "--out", str(tmp_path / "out"), "--threads", threads],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    assert run.returncode == 2
+    assert f"error: {message}" in run.stderr
 
 
 def test_unknown_subcommand(tmp_path, capsys):

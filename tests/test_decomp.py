@@ -8,9 +8,8 @@ from scipy.special import ndtr
 from bklab.coefficients import (make_finite_coefficients,
                                 make_power_law_coefficients,
                                 truncation_horizon)
-from bklab.decomp import (GAMMA_TOL, TruncatedMarginals, blocked_sums,
-                          blocking_layout, covariance_gamma, decompose,
-                          gaussian_gamma, gaussian_limit_sample,
+from bklab.decomp import (GAMMA_TOL, TruncatedMarginals, covariance_gamma,
+                          decompose, gaussian_gamma, gaussian_limit_sample,
                           lag_tail_bound, monte_carlo_gamma,
                           truncated_summands, y_summands)
 from bklab.empirical import EmpiricalSummary, beta_process
@@ -76,7 +75,7 @@ class TestDecompose:
             innovations=get_innovation("logistic"),
             coefficients=make_finite_coefficients([1.0, 0.4, 0.2]), rho=0.45)
         cases = [iid_uniform, ma1_gaussian, powerlaw_gaussian, iid_gaussian,
-                 (logistic, build_marginal_oracle(logistic, 5000, seed=2))]
+                 (logistic, build_marginal_oracle(logistic))]
         for model, oracle in cases:
             p = simulate_path(model, 1000, seed=77)
             xs = EmpiricalSummary.from_sample(p.x)
@@ -295,66 +294,6 @@ class TestCovariance:
         se = var * math.sqrt(2.0 / (reps - 1))
         tol = 0.10 * est.gamma + 3.0 * math.hypot(se, est.stderr)
         assert abs(var - est.gamma) < tol
-
-
-class TestBlocking:
-    def test_layout_example(self):
-        layout = blocking_layout(100, 0.45)
-        assert layout.block_len == 7  # floor(100^0.45)
-        assert layout.starts[0] == 1 and layout.ends[0] == 7
-        assert layout.ends[-1] == 100
-        # partition with no gaps or overlaps
-        covered = np.concatenate([np.arange(s, e + 1)
-                                  for s, e in zip(layout.starts, layout.ends)])
-        assert np.array_equal(covered, np.arange(1, 101))
-
-    def test_too_short(self):
-        # block_len = floor(1^rho) = 1 needs at least n = 2
-        with pytest.raises(ModelError, match="block pair"):
-            blocking_layout(1, 0.45)
-
-    def test_iid_block_sums_zero(self, iid_uniform):
-        model, oracle = iid_uniform
-        p = simulate_path(model, 200, seed=3)
-        tm = TruncatedMarginals(model, oracle)
-        u, v, stats = blocked_sums(p, tm, 0.3, 0.2, 0.8)
-        assert np.all(u == 0.0) and np.all(v == 0.0)
-        assert stats.total_abs == 0.0
-
-    def test_requires_ordered_points(self, iid_uniform):
-        model, oracle = iid_uniform
-        p = simulate_path(model, 200, seed=3)
-        tm = TruncatedMarginals(model, oracle)
-        with pytest.raises(ValueError):
-            blocked_sums(p, tm, 0.3, 0.8, 0.2)
-
-    def test_exceedance_profile(self):
-        from bklab.decomp import exceedance_profile
-        totals = [0.1, -0.2, 0.05, 0.3, -0.15]
-        z = [0.0, 0.1, 0.2, 0.5]
-        freq = exceedance_profile(totals, z)
-        assert np.allclose(freq, [1.0, 0.6, 0.2, 0.0])
-        assert np.all(np.diff(freq) <= 0)  # nonincreasing in the threshold
-
-    def test_i_blocks_independent(self):
-        # lag-1 correlation of the I-block sums across replicates is zero
-        # within Monte Carlo resolution (the J gaps absorb every lag)
-        model = LinearProcessModel(
-            innovations=get_innovation("gaussian"),
-            coefficients=make_power_law_coefficients(3.0), rho=0.45)
-        oracle = exact_marginal_oracle(model)
-        tm = TruncatedMarginals(model, oracle)
-        reps, n = 300, 1000
-        firsts, seconds = [], []
-        for r in range(reps):
-            p = simulate_path(model, n, seed=7000 + r)
-            u, _, _ = blocked_sums(p, tm, 0.45, -0.5, 0.5)
-            firsts.append(u[:-1])
-            seconds.append(u[1:])
-        a = np.concatenate(firsts)
-        b = np.concatenate(seconds)
-        corr = float(np.corrcoef(a, b)[0, 1])
-        assert abs(corr) < 4.0 / math.sqrt(a.size)
 
 
 class TestGaussianLimit:

@@ -264,9 +264,6 @@ def test_logistic_powerlaw_rate_scan(tmp_path):
     ({"innovation": "uniform", "rho": 0.3}, "single-point"),
     (POWER_LAW, "exact"),
     (dict(innovation="logistic", **POWER_LAW), "fourier"),
-    (dict(innovation="logistic", oracle={"mode": "mixture",
-                                         "mixture_points": 2000},
-          **POWER_LAW), "mixture"),
 ])
 def test_manifest_records_oracle(tmp_path, model, kind):
     cfg = config_from_dict(make_config(n_grid=(16,), replicates=1, **model))
@@ -458,8 +455,7 @@ def test_manifest_contents(tmp_path):
 class TestSortedPit:
     def test_matches_sorted_pit(self, powerlaw_gaussian):
         logistic = config_from_dict(make_config(
-            innovation="logistic", rho=0.45, **POWER_LAW,
-            oracle={"mode": "mixture", "mixture_points": 500, "seed": 0}))
+            innovation="logistic", rho=0.45, **POWER_LAW))
         model = build_model(logistic)
         for model, oracle in (powerlaw_gaussian,
                               (model, build_oracle(model, logistic))):

@@ -9,8 +9,7 @@ from bklab.coefficients import (make_finite_coefficients,
 from bklab.errors import ModelError
 from bklab.innovations import get_innovation
 from bklab.model import (LinearProcessModel, build_marginal_oracle,
-                         csr_exponents, exact_marginal_oracle,
-                         marginal_quantile)
+                         exact_marginal_oracle)
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -40,74 +39,6 @@ class TestModelValidation:
         assert gaussian_model().sigma == pytest.approx(math.sqrt(1.25))
 
 
-class TestMixtureOracle:
-    def test_iid_case_is_exact(self):
-        model = LinearProcessModel(
-            innovations=get_innovation("uniform"),
-            coefficients=make_finite_coefficients([1.0]), rho=0.3)
-        oracle = build_marginal_oracle(model, mixture_points=10, seed=1)
-        x = np.linspace(0.01, 0.99, 37)
-        assert np.allclose(oracle.cdf(x), x)
-        assert oracle.mixture_points.size == 1  # single zero mixture point
-
-    def test_gaussian_ma1_values(self, ma1_gaussian):
-        # exact oracle: F(0) = 1/2, f(0) = phi(0)/sqrt(1.25), Q(.975)
-        _, oracle = ma1_gaussian
-        assert oracle.cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-        assert oracle.pdf(0.0) == pytest.approx(PHI0 / math.sqrt(1.25), rel=1e-12)
-        assert marginal_quantile(oracle, 0.975) == pytest.approx(
-            2.191306351441454, rel=1e-9)
-
-    def test_mixture_tracks_exact_gaussian(self):
-        model = gaussian_model()
-        M = 20_000
-        oracle = build_marginal_oracle(model, mixture_points=M, seed=5)
-        grid = np.linspace(-3.0, 3.0, 41)
-        exact = ndtr(grid / model.sigma)
-        # Monte Carlo mixture error is below 3/sqrt(M) uniformly
-        assert np.max(np.abs(oracle.cdf(grid) - exact)) < 3.0 / math.sqrt(M)
-        assert oracle.pdf(0.0) == pytest.approx(PHI0 / math.sqrt(1.25), abs=0.01)
-
-    def test_quantile_roundtrip(self):
-        model = gaussian_model()
-        oracle = build_marginal_oracle(model, mixture_points=4000, seed=5)
-        for y in (1e-6, 0.01, 0.3, 0.5, 0.77, 1.0 - 1e-6):
-            q = oracle.quantile(y)
-            assert abs(oracle.cdf(q) - y) < 1e-10
-
-    def test_quantile_domain(self, ma1_gaussian):
-        _, oracle = ma1_gaussian
-        for y in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                oracle.quantile(y)
-
-    def test_q_then_f_consistency(self):
-        # Q(F(x)) recovers x wherever the density is not negligible
-        model = gaussian_model()
-        oracle = build_marginal_oracle(model, mixture_points=4000, seed=5)
-        for x in (-2.0, -0.3, 0.0, 1.1, 2.5):
-            if oracle.pdf(x) > 1e-6:
-                assert oracle.quantile(oracle.cdf(x)) == pytest.approx(x, abs=1e-8)
-
-    def test_small_mixture_warns(self):
-        model = gaussian_model()
-        oracle = build_marginal_oracle(model, mixture_points=100, seed=2)
-        assert oracle.warning is not None
-
-    def test_density_normalizes(self):
-        model = gaussian_model()
-        oracle = build_marginal_oracle(model, mixture_points=3000, seed=9)
-        grid = np.linspace(-8.0, 8.0, 4001)
-        mass = float(np.trapezoid(oracle.pdf(grid), grid))
-        assert mass == pytest.approx(1.0, abs=1e-4)
-
-    def test_deterministic_rebuild(self):
-        model = gaussian_model()
-        a = build_marginal_oracle(model, mixture_points=500, seed=3)
-        b = build_marginal_oracle(model, mixture_points=500, seed=3)
-        assert np.array_equal(a.mixture_points, b.mixture_points)
-
-
 class TestExactOracle:
     def test_requires_gaussian(self):
         model = LinearProcessModel(
@@ -116,37 +47,27 @@ class TestExactOracle:
         with pytest.raises(ModelError):
             exact_marginal_oracle(model)
 
+    def test_gaussian_ma1_values(self, ma1_gaussian):
+        # exact oracle: F(0) = 1/2, f(0) = phi(0)/sqrt(1.25), Q(.975)
+        _, oracle = ma1_gaussian
+        assert oracle.cdf(0.0) == pytest.approx(0.5, abs=1e-15)
+        assert oracle.pdf(0.0) == pytest.approx(PHI0 / math.sqrt(1.25), rel=1e-12)
+        assert oracle.quantile(0.975) == pytest.approx(
+            2.191306351441454, rel=1e-9)
+
+    def test_quantile_domain(self, ma1_gaussian):
+        _, oracle = ma1_gaussian
+        for y in (0.0, 1.0, -0.5, 2.0):
+            with pytest.raises(ValueError):
+                oracle.quantile(y)
+
     def test_median_is_zero(self, ma1_gaussian):
         _, oracle = ma1_gaussian
-        assert marginal_quantile(oracle, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert oracle.quantile(0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_identity_median(self, iid_uniform):
         _, oracle = iid_uniform
-        assert marginal_quantile(oracle, 0.5) == pytest.approx(0.5, abs=1e-12)
-
-
-class TestCsrExponents:
-    def test_uniform_flat(self, iid_uniform):
-        _, oracle = iid_uniform
-        est = csr_exponents(oracle)
-        assert abs(est.gamma1) < 0.05
-        assert abs(est.gamma2) < 0.05
-
-    def test_gaussian_near_one(self, iid_gaussian):
-        _, oracle = iid_gaussian
-        est = csr_exponents(oracle)
-        assert 0.9 <= est.gamma1 <= 1.15
-        assert 0.9 <= est.gamma2 <= 1.15
-
-    def test_exponential_upper_tail(self):
-        model = LinearProcessModel(
-            innovations=get_innovation("exponential"),
-            coefficients=make_finite_coefficients([1.0]), rho=0.3)
-        oracle = build_marginal_oracle(model, mixture_points=10, seed=1)
-        est = csr_exponents(oracle)
-        # f(Q(y)) = 1 - y exactly: flat at 0, slope one at the upper end
-        assert abs(est.gamma1) < 0.05
-        assert est.gamma2 == pytest.approx(1.0, abs=1e-6)
+        assert oracle.quantile(0.5) == pytest.approx(0.5, abs=1e-12)
 
 
 def powerlaw_model(innovation):
@@ -208,15 +129,16 @@ class TestFourierEngine:
         assert np.max(np.abs(oracle.cdf(q) - y)) <= 1e-15
 
     def test_agrees_with_mixture(self, logistic_engine):
-        # within five standard errors of the Monte Carlo mean at each x
+        # within five standard errors of the Monte Carlo mean
+        # F(x) = mean_j F_eps(x - s_j) over predictor draws s_j, at each x
         model, oracle = logistic_engine
-        mixture = build_marginal_oracle(model, mixture_points=100_000,
-                                        seed=0)
+        innov = model.innovations
+        w = model.coefficients.weights(73)[1:]  # the engine's 73 lags
+        s = innov.sample(np.random.default_rng(0), (100_000, w.size)) @ w
         x = np.linspace(-6.0, 6.0, 41)
-        terms = model.innovations.cdf(x[:, None]
-                                      - mixture.mixture_points[None, :])
+        terms = innov.cdf(x[:, None] - s[None, :])
         stderr = terms.std(axis=1) / math.sqrt(terms.shape[1])
-        diff = np.abs(oracle.cdf(x) - mixture.cdf(x))
+        diff = np.abs(oracle.cdf(x) - terms.mean(axis=1))
         assert np.all(diff <= 5.0 * stderr + 1e-12)
         assert diff.max() > 1e-7  # the mixture is not the engine
 
@@ -232,12 +154,6 @@ class TestFourierEngine:
         assert np.all(np.abs(oracle.pdf(far)) < 1e-14)
         inner = np.array([-half, half])
         assert np.allclose(oracle.cdf(inner), [0.0, 1.0], atol=1e-14)
-
-    def test_csr_exponents_logistic_near_one(self, logistic_engine):
-        _, oracle = logistic_engine
-        est = csr_exponents(oracle)
-        assert est.gamma1 == pytest.approx(1.0, abs=0.02)
-        assert est.gamma2 == pytest.approx(1.0, abs=0.02)
 
     def test_non_smooth_innovation_rejected(self):
         model = LinearProcessModel(
@@ -258,18 +174,22 @@ class TestFourierEngine:
 @pytest.mark.parametrize("name", ["gaussian", "logistic", "uniform",
                                   "laplace", "exponential"])
 def test_single_point_serves_innovation(name):
-    # x - 0.0 and a mean over one column are exact, so the memoryless
-    # oracle serves the innovation's own cdf and pdf bit for bit
+    # the memoryless oracle serves the innovation's own cdf, pdf and
+    # quantile bit for bit
     innov = get_innovation(name)
     model = LinearProcessModel(
         innovations=innov, coefficients=make_finite_coefficients([1.0]),
         rho=0.3)
-    oracle = build_marginal_oracle(model, mixture_points=1, seed=0)
+    oracle = build_marginal_oracle(model)
     assert oracle.kind == "single-point"
-    x = np.concatenate([np.random.default_rng(5).normal(0.0, 3.0, 2001),
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.normal(0.0, 3.0, 2001),
                         [0.0, 0.5, 1.0, -1.0, 1e-300, 40.0, -40.0]])
-    for served, own in ((oracle.cdf, innov.cdf), (oracle.pdf, innov.pdf)):
-        assert served(x).tobytes() == np.asarray(own(x), float).tobytes()
+    y = np.concatenate([rng.random(2001), [0.5, 1e-300, 1.0 - 1e-16]])
+    for served, own, v in ((oracle.cdf, innov.cdf, x),
+                           (oracle.pdf, innov.pdf, x),
+                           (oracle.quantile, innov.quantile, y)):
+        assert served(v).tobytes() == np.asarray(own(v), float).tobytes()
         assert served(0.25) == float(own(0.25))
         assert isinstance(served(0.25), float)
 
@@ -277,9 +197,3 @@ def test_single_point_serves_innovation(name):
 def test_oracle_kinds(ma1_gaussian):
     _, exact = ma1_gaussian
     assert exact.kind == "exact" and exact.cdf_error_bound == 0.0
-    mixture = build_marginal_oracle(gaussian_model(), mixture_points=2000,
-                                    seed=1)
-    assert mixture.kind == "mixture"
-    # the DKW bound at probability 0.999
-    assert mixture.cdf_error_bound == pytest.approx(
-        math.sqrt(math.log(2000.0) / 4000.0))
