@@ -35,12 +35,12 @@ bound beats the running maxima; bisection starts from those, so the sups,
 the smallest margin and the bisected-piece count do not depend on the
 block size. The exact pass keeps no residual values.
 
-L comes from the oracle (:func:`_score_bound`): |x|/sigma^2 for the exact
-Gaussian oracle; alpha + beta |x| for the single-point oracle of an
-innovation with |f_eps'/f_eps|(z) <= alpha + beta |z|; and for the
-Fourier engine the innovation's bounded score alpha, widened by the
-engine's error bounds relative to the smallest density at the ends of the
-sup's range.
+L comes from the oracle's served law (:func:`_score_bound`). The exact
+and single-point oracles serve an innovation law, N(0, sigma^2) or the
+innovation itself, and L is its declared alpha + beta |x|: |x|/sigma^2
+for the exact Gaussian oracle. For the Fourier engine L is the
+innovation's bounded score alpha, widened by the engine's error bounds
+relative to the smallest density at the ends of the sup's range.
 
 ``refine=<int>`` selects the brute-force grid instead: both one-sided
 limits at every jump, sampled 1e-12 to either side, plus ``refine``
@@ -175,7 +175,9 @@ def _score_bound(oracle, f_ends):
     outermost breakpoints, where the served density is ``f_ends`` (the
     smaller of its two values there).
 
-    For the Fourier engine, let g be the wrapped true density
+    The exact and single-point oracles serve an innovation law, whose
+    declared ``score_bound`` holds on the whole line. For the Fourier
+    engine, let g be the wrapped true density
     sum_m f(x + 2mD), which the series approximates. The innovation's
     score is bounded, |f_eps'/f_eps| <= a, and f = E f_eps(x - P) gives
     |f'| <= a f for every translate, so |g'| <= a g. The served f_s and
@@ -188,24 +190,23 @@ def _score_bound(oracle, f_ends):
     there. Then |f_s'| <= a g + E1 <= a (f_s + E0) + E1, and
     |f_s'/f_s| <= a + (a E0 + E1) / floor.
     """
-    if oracle.use_exact:
-        return 0.0, 1.0 / oracle.sigma_exact ** 2
-    engine = oracle.engine
-    if engine is not None:
-        a, b = oracle.innovation.score_bound
-        if b != 0.0:
-            raise ModelError(
-                f"the exact residual sup over a fourier oracle needs a "
-                f"bounded innovation score; {oracle.innovation.name!r} has "
-                f"none (Gaussian innovations have the exact oracle)")
-        floor = f_ends - 2.0 * engine.density_error - a * engine.alias
-        if not floor > 0.0:
-            raise ModelError(
-                f"density {f_ends:.3g} at the ends of the sup's range is "
-                f"within the Fourier engine's error bound")
-        e0, e1 = engine.density_error, engine.deriv_error
-        return a + (a * e0 + e1) / floor, 0.0
-    return oracle.innovation.score_bound
+    if oracle.kind != "fourier":
+        return oracle.law.score_bound
+    engine = oracle.law
+    innovation = engine.innovation
+    a, b = innovation.score_bound
+    if b != 0.0:
+        raise ModelError(
+            f"the exact residual sup over a fourier oracle needs a "
+            f"bounded innovation score; {innovation.name!r} has none "
+            f"(Gaussian innovations have the exact oracle)")
+    floor = f_ends - 2.0 * engine.density_error - a * engine.alias
+    if not floor > 0.0:
+        raise ModelError(
+            f"density {f_ends:.3g} at the ends of the sup's range is "
+            f"within the Fourier engine's error bound")
+    e0, e1 = engine.density_error, engine.deriv_error
+    return a + (a * e0 + e1) / floor, 0.0
 
 
 def _jump_slots(v, n, strict):

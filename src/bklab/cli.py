@@ -136,7 +136,10 @@ def main(argv=None):
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        config = config_from_file(args.config)
+        try:
+            config = config_from_file(args.config)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
         out_dir = args.out or config.outputs
         threads = _threads(args.threads)
         code = _DISPATCH[args.command](config, out_dir, threads, args.verbose)
@@ -147,7 +150,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -75,26 +75,18 @@ def u_process(pit_summary, y):
     return math.sqrt(pit_summary.n) * (y_arr - equantile(pit_summary, y_arr))
 
 
-def jump_grid(pit_summary, a, b, refine, oracle=None, summary=None):
+def jump_grid(pit_summary, a, b, refine):
     """Evaluation grid on (a, b) capturing both one-sided limits at jumps.
 
     The grid is the union of the step-function jump ordinates k/n, the
     PIT order statistics, each nudged by +-1e-12, and a uniform grid of
     ``refine`` interior points; duplicates and points outside the open
-    interval are dropped. When ``summary``/``oracle`` are given instead
-    of a PIT summary, the PIT ordinates are computed as F(X_{i:n}).
+    interval are dropped.
     """
     if not (0.0 <= a < b <= 1.0):
         raise ValueError(f"need 0 <= a < b <= 1, got ({a}, {b})")
-    if pit_summary is not None:
-        n = pit_summary.n
-        stats = pit_summary.sorted
-    else:
-        n = summary.n
-        stats = np.asarray(oracle.cdf(summary.sorted), dtype=float)
-
-    kk = np.arange(1, n) / n
-    jumps = np.concatenate([kk, stats])
+    n = pit_summary.n
+    jumps = np.concatenate([np.arange(1, n) / n, pit_summary.sorted])
     jumps = jumps[(jumps > a) & (jumps < b)]
     pieces = [jumps - JUMP_OFFSET, jumps + JUMP_OFFSET]
     if refine > 0:

@@ -476,7 +476,7 @@ def run_rate_scan(config, threads=1, out_dir=None):
 # increment modulus
 
 
-def increment_modulus(pit_sorted, d, a=0.0, b=1.0, window_cells=512):
+def increment_modulus(pit_sorted, d, window_cells=512):
     """Grid sup of |g(v) - g(u)| over pairs with |u - v| <= d, for
     g(y) = E_n(y) - y.
 
@@ -489,18 +489,18 @@ def increment_modulus(pit_sorted, d, a=0.0, b=1.0, window_cells=512):
     n = us.size
     if not 0.0 < d:
         raise ValueError("window width d must be positive")
-    d = min(d, b - a)
+    d = min(d, 1.0)
     h = d / window_cells
     off = 1e-12
     knots = np.concatenate([
         us - off, us + off,
-        np.arange(a + 0.5 * h, b, h),
-        [a + off, b - off],
+        np.arange(0.5 * h, 1.0, h),
+        [off, 1.0 - off],
     ])
-    knots = np.sort(knots[(knots > a) & (knots < b)])
+    knots = np.sort(knots[(knots > 0.0) & (knots < 1.0)])
     g = np.searchsorted(us, knots, side="right") / n - knots
 
-    cells = ((knots - a) / h).astype(np.int64)
+    cells = (knots / h).astype(np.int64)
     ncells = int(cells[-1]) + 1
     bounds = np.searchsorted(cells, np.arange(ncells + 1))
     has = bounds[1:] > bounds[:-1]

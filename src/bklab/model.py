@@ -3,11 +3,12 @@
 The stationary marginal of X_i = sum_k c_k eps_{i-k} has CDF
 F(x) = E F_eps(x - P) where P = sum_{k>=1} c_k eps_{-k} is the one-step
 predictor, and characteristic function phi_X(t) = prod_k phi_eps(c_k t).
-The oracle realizes F, f and Q in one of three ways:
+The oracle serves F, f and Q from one law, chosen by its kind:
 
-* exact: Gaussian innovations, F(x) = Phi(x/sigma), sigma^2 = sum c_k^2;
-* single-point: a memoryless kernel, F = F_eps, served by the
-  innovation's own cdf, pdf and quantile;
+* exact: Gaussian innovations; the law N(0, sigma^2), sigma^2 =
+  scale^2 sum c_k^2, from the innovations module, F(x) = Phi(x/sigma);
+* single-point: a memoryless kernel, F = F_eps; the innovation law
+  itself;
 * fourier: a dependent model with a smooth innovation law. phi_X (lags
   up to the horizon K, a Gaussian top-up for the rest) is inverted once
   by the trapezoidal Gil-Pelaez series onto a table, from which F and f
@@ -19,11 +20,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .coefficients import CoefficientSequence, truncation_horizon
 from .errors import ModelError
-from .innovations import InnovationModel
+from .innovations import InnovationModel, get_innovation
 
 
 @dataclass(frozen=True)
@@ -500,83 +500,40 @@ class FourierMarginal:
 
 @dataclass
 class MarginalOracle:
-    """Numerical F, f, Q of the stationary marginal.
+    """Numerical F, f, Q of the stationary marginal, served by one law.
 
-    ``engine`` is the :class:`FourierMarginal` that serves a ``fourier``
-    oracle; without one the oracle is ``single-point`` and serves the
-    innovation's own cdf, pdf and quantile (a memoryless kernel, F =
-    F_eps). When ``sigma_exact`` is set (Gaussian innovations) the closed
-    form Phi(x/sigma) is available as ground truth; ``use_exact`` selects
-    it as the serving implementation.
+    ``law`` serves vectorized ``cdf``, ``pdf`` and ``quantile``. By
+    ``kind``, it is:
+
+    * ``exact``: the Gaussian law N(0, sigma^2) of Gaussian innovations;
+    * ``single-point``: the innovation law itself (a memoryless kernel,
+      F = F_eps);
+    * ``fourier``: the :class:`FourierMarginal` of a dependent model.
     """
 
     model_id: str
-    innovation: InnovationModel
-    sigma_exact: float | None
-    use_exact: bool
+    kind: str
+    law: InnovationModel | FourierMarginal = field(repr=False)
     gamma1: float | None = None
     gamma2: float | None = None
-    engine: FourierMarginal | None = field(default=None, repr=False)
-
-    @property
-    def kind(self):
-        """``exact``, ``fourier`` or ``single-point``."""
-        if self.use_exact:
-            return "exact"
-        return "single-point" if self.engine is None else "fourier"
 
     @property
     def cdf_error_bound(self):
-        """Bound of sup |F_served - F|: 0 for the closed forms and the
-        engine's build-time bound for ``fourier``."""
-        if self.kind == "fourier":
-            return self.engine.cdf_error_bound
-        return 0.0
-
-    @property
-    def _served(self):
-        """The engine, or the innovation law itself for ``single-point``."""
-        return self.innovation if self.engine is None else self.engine
-
-    # -- serving implementations ------------------------------------------
+        """Bound of sup |cdf - F|: 0 for the closed forms and the engine's
+        build-time bound for ``fourier``."""
+        return self.law.cdf_error_bound if self.kind == "fourier" else 0.0
 
     def cdf(self, x):
-        if self.use_exact:
-            return self.exact_cdf(x)
-        return _shaped(self._served.cdf, x)
+        return _shaped(self.law.cdf, x)
 
     def pdf(self, x):
-        if self.use_exact:
-            return self.exact_pdf(x)
-        return _shaped(self._served.pdf, x)
+        return _shaped(self.law.pdf, x)
 
     def quantile(self, y):
         y_arr = np.asarray(y, dtype=float)
         if np.any(y_arr <= 0.0) or np.any(y_arr >= 1.0):
             raise ValueError("quantile argument must lie strictly in (0, 1)")
-        if self.use_exact:
-            out = self.sigma_exact * ndtri(y_arr)
-            return float(out) if np.isscalar(y) or y_arr.shape == () else out
-        return _shaped(self._served.quantile, y)
-
-    # -- exact Gaussian closed form ----------------------------------------
-
-    def exact_cdf(self, x):
-        self._require_exact()
-        return ndtr(np.asarray(x, dtype=float) / self.sigma_exact)
-
-    def exact_pdf(self, x):
-        self._require_exact()
-        z = np.asarray(x, dtype=float) / self.sigma_exact
-        return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * self.sigma_exact)
-
-    def exact_quantile(self, y):
-        self._require_exact()
-        return self.sigma_exact * ndtri(np.asarray(y, dtype=float))
-
-    def _require_exact(self):
-        if self.sigma_exact is None:
-            raise ModelError("no closed-form marginal for this model")
+        return _shaped(self.law.quantile, y_arr)
 
 
 def _shaped(fn, v):
@@ -594,35 +551,32 @@ def build_marginal_oracle(model, trunc_tol=None):
     ``trunc_tol`` is the predictor truncation tolerance (defaults to
     1e-6 * sigma): lags up to the horizon K enter the engine exactly, the
     rest as a Gaussian top-up. The engine needs a smooth innovation law
-    and raises ModelError otherwise. For Gaussian innovations the closed
-    form Phi(x/sigma) is attached as ground truth.
+    and raises ModelError otherwise.
     """
     innov = model.innovations
     coeffs = model.coefficients
-    engine = None
-    if coeffs.memory != 0:
-        if not innov.smooth:
-            raise ModelError(
-                f"the Fourier marginal engine needs a smooth innovation "
-                f"density; {innov.name!r} is not smooth")
-        if trunc_tol is None:
-            trunc_tol = 1e-6 * max(model.sigma, 1e-12)
-        K = truncation_horizon(coeffs, trunc_tol / max(innov.scale, 1e-300))
-        engine = FourierMarginal(innov, coeffs.weights(K),
-                                 coeffs.tail_sq(K + 1) * innov.scale ** 2)
-    return MarginalOracle(
-        model_id=model.model_id, innovation=innov,
-        sigma_exact=model.sigma if innov.name == "gaussian" else None,
-        use_exact=False, gamma1=model.gamma1, gamma2=model.gamma2,
-        engine=engine)
+    if coeffs.memory == 0:
+        return MarginalOracle(model.model_id, "single-point", innov,
+                              model.gamma1, model.gamma2)
+    if not innov.smooth:
+        raise ModelError(
+            f"the Fourier marginal engine needs a smooth innovation "
+            f"density; {innov.name!r} is not smooth")
+    if trunc_tol is None:
+        trunc_tol = 1e-6 * max(model.sigma, 1e-12)
+    K = truncation_horizon(coeffs, trunc_tol / max(innov.scale, 1e-300))
+    engine = FourierMarginal(innov, coeffs.weights(K),
+                             coeffs.tail_sq(K + 1) * innov.scale ** 2)
+    return MarginalOracle(model.model_id, "fourier", engine, model.gamma1,
+                          model.gamma2)
 
 
 def exact_marginal_oracle(model):
-    """Closed-form oracle; only Gaussian innovations have one."""
+    """Closed-form oracle N(0, sigma^2); only Gaussian innovations have
+    one."""
     if model.innovations.name != "gaussian":
         raise ModelError(
             f"no closed-form marginal for {model.innovations.name} innovations")
-    return MarginalOracle(
-        model_id=model.model_id, innovation=model.innovations,
-        sigma_exact=model.sigma, use_exact=True, gamma1=model.gamma1,
-        gamma2=model.gamma2)
+    return MarginalOracle(model.model_id, "exact",
+                          get_innovation("gaussian", scale=model.sigma),
+                          model.gamma1, model.gamma2)

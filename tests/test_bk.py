@@ -407,9 +407,9 @@ def test_exact_sup_against_refinement_grids(request, name):
         score = lambda q: np.ones_like(q)
     else:
         model, oracle = request.getfixturevalue(fixture)
-        sigma = oracle.sigma_exact
-        score = ((lambda q: np.abs(q) / sigma ** 2) if sigma is not None
-                 else (lambda q: np.zeros_like(q)))
+        # an exact or single-point oracle's bound does not read f_ends
+        alpha, beta = _score_bound(oracle, None)
+        score = lambda q: alpha + beta * np.abs(q)
     nu, a, b = 2.5, 0.05, 0.95
     refined = 0
     for n in n_values:
@@ -457,8 +457,8 @@ class TestFourierCertificate:
         assert beta == 0.0
         assert 1.0 < alpha < 1.0 + 1e-6  # logistic scale 1, widened
         x = np.linspace(lo, hi, 400_001)
-        j, t = oracle.engine._cell(x)
-        f, df = oracle.engine._pdf_at(j, t), oracle.engine._deriv_at(j, t)
+        j, t = oracle.law._cell(x)
+        f, df = oracle.law._pdf_at(j, t), oracle.law._deriv_at(j, t)
         assert np.max(np.abs(df / f)) <= alpha
 
     def test_needs_density_above_engine_error(self):

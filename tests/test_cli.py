@@ -63,8 +63,21 @@ def test_no_arguments():
     assert main([]) == 1
 
 
-def test_missing_config_file(tmp_path):
+def test_missing_config_file(tmp_path, capsys):
     assert main(["check-model", "--config", str(tmp_path / "nope.json")]) == 2
+    assert "error: cannot read config" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_not_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, make_config(
+        innovation="uniform", rho=0.3, n_grid=(16,), replicates=1))
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    assert main(["lil-scan", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot write outputs" in err
+    assert "cannot read config" not in err
 
 
 def test_check_model_accepts_good_model(tmp_path, capsys):

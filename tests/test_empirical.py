@@ -139,14 +139,3 @@ class TestJumpGrid:
         s = summary([0.5])
         with pytest.raises(ValueError):
             jump_grid(s, 0.7, 0.3, refine=0)
-
-    def test_x_space_route_matches_pit_route(self, ma1_gaussian):
-        # building the grid from the raw summary plus the oracle gives the
-        # same ordinates as building it from the PIT summary
-        model, oracle = ma1_gaussian
-        p = simulate_path(model, 40, seed=8)
-        xs = summary(p.x)
-        us = summary(pit_transform(p, oracle))
-        g1 = jump_grid(us, 0.1, 0.9, refine=16)
-        g2 = jump_grid(None, 0.1, 0.9, refine=16, oracle=oracle, summary=xs)
-        assert np.allclose(g1, g2, atol=1e-15)

@@ -8,8 +8,9 @@ from bklab.coefficients import (make_finite_coefficients,
                                 make_power_law_coefficients)
 from bklab.errors import ModelError
 from bklab.innovations import get_innovation
-from bklab.model import (LinearProcessModel, build_marginal_oracle,
-                         exact_marginal_oracle)
+from bklab.bk import _score_bound
+from bklab.model import (FourierMarginal, LinearProcessModel,
+                         build_marginal_oracle, exact_marginal_oracle)
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -87,7 +88,8 @@ class TestFourierEngine:
     def test_gaussian_matches_closed_form(self):
         model = powerlaw_model("gaussian")
         oracle = build_marginal_oracle(model)
-        assert oracle.kind == "fourier" and not oracle.use_exact
+        assert oracle.kind == "fourier"
+        assert isinstance(oracle.law, FourierMarginal)
         sigma = model.sigma
         x = np.linspace(-8.0 * sigma, 8.0 * sigma, 20_001)
         assert np.max(np.abs(oracle.cdf(x) - ndtr(x / sigma))) < 1e-12
@@ -110,15 +112,15 @@ class TestFourierEngine:
                             lambda *args: (2.0 * half_period(*args)[0],
                                            half_period(*args)[1]))
         finer = build_marginal_oracle(model)
-        assert finer.engine.half == 2.0 * oracle.engine.half
-        assert finer.engine.n_terms >= 2 * oracle.engine.n_terms - 1
+        assert finer.law.half == 2.0 * oracle.law.half
+        assert finer.law.n_terms >= 2 * oracle.law.n_terms - 1
         x = np.linspace(-30.0, 30.0, 6001)
         assert np.max(np.abs(finer.cdf(x) - oracle.cdf(x))) <= 1e-13
         assert np.max(np.abs(finer.pdf(x) - oracle.pdf(x))) <= 1e-13
 
     def test_monotone_and_inverse(self, logistic_engine):
         _, oracle = logistic_engine
-        half = oracle.engine.half
+        half = oracle.law.half
         x = np.linspace(-half, half, 2_000_001)
         assert np.all(np.diff(oracle.cdf(x)) >= 0.0)
         assert np.all(oracle.pdf(x) >= 0.0)
@@ -144,7 +146,7 @@ class TestFourierEngine:
 
     def test_scalar_and_outside_arguments(self, logistic_engine):
         _, oracle = logistic_engine
-        half = oracle.engine.half
+        half = oracle.law.half
         assert isinstance(oracle.cdf(0.3), float)
         assert isinstance(oracle.quantile(0.3), float)
         assert oracle.cdf(0.0) == pytest.approx(0.5, abs=1e-15)
@@ -171,26 +173,55 @@ class TestFourierEngine:
         assert oracle.cdf_error_bound == 0.0
 
 
+EXACT_KERNELS = {
+    "iid": lambda: make_finite_coefficients([1.0]),
+    "ma1": lambda: make_finite_coefficients([1.0, 0.5]),
+    "powerlaw": lambda: make_power_law_coefficients(3.0),
+}
+
+
+def gaussian_closed_form(sigma):
+    """cdf, pdf and quantile of N(0, sigma^2), written out."""
+    def pdf(x):
+        z = np.asarray(x, dtype=float) / sigma
+        return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sigma)
+
+    return (lambda x: ndtr(np.asarray(x, dtype=float) / sigma), pdf,
+            lambda y: sigma * ndtri(np.asarray(y, dtype=float)))
+
+
 @pytest.mark.parametrize("name", ["gaussian", "logistic", "uniform",
-                                  "laplace", "exponential"])
+                                  "laplace", "exponential", "exact-iid",
+                                  "exact-ma1", "exact-powerlaw"])
 def test_single_point_serves_innovation(name):
     # the memoryless oracle serves the innovation's own cdf, pdf and
-    # quantile bit for bit
-    innov = get_innovation(name)
-    model = LinearProcessModel(
-        innovations=innov, coefficients=make_finite_coefficients([1.0]),
-        rho=0.3)
-    oracle = build_marginal_oracle(model)
-    assert oracle.kind == "single-point"
+    # quantile bit for bit; the exact oracle of Gaussian innovations (scale
+    # 1.7) serves N(0, sigma^2) bit for bit, and its score bound is that
+    # law's (0, 1/sigma^2)
+    if name.startswith("exact-"):
+        model = LinearProcessModel(
+            innovations=get_innovation("gaussian", scale=1.7),
+            coefficients=EXACT_KERNELS[name[len("exact-"):]](), rho=0.45)
+        oracle = exact_marginal_oracle(model)
+        assert oracle.kind == "exact"
+        assert _score_bound(oracle, None) == (0.0, 1.0 / model.sigma ** 2)
+        own = gaussian_closed_form(model.sigma)
+    else:
+        innov = get_innovation(name)
+        model = LinearProcessModel(
+            innovations=innov, coefficients=make_finite_coefficients([1.0]),
+            rho=0.3)
+        oracle = build_marginal_oracle(model)
+        assert oracle.kind == "single-point"
+        own = (innov.cdf, innov.pdf, innov.quantile)
     rng = np.random.default_rng(5)
     x = np.concatenate([rng.normal(0.0, 3.0, 2001),
                         [0.0, 0.5, 1.0, -1.0, 1e-300, 40.0, -40.0]])
     y = np.concatenate([rng.random(2001), [0.5, 1e-300, 1.0 - 1e-16]])
-    for served, own, v in ((oracle.cdf, innov.cdf, x),
-                           (oracle.pdf, innov.pdf, x),
-                           (oracle.quantile, innov.quantile, y)):
-        assert served(v).tobytes() == np.asarray(own(v), float).tobytes()
-        assert served(0.25) == float(own(0.25))
+    for served, own_fn, v in zip((oracle.cdf, oracle.pdf, oracle.quantile),
+                                 own, (x, x, y)):
+        assert served(v).tobytes() == np.asarray(own_fn(v), float).tobytes()
+        assert served(0.25) == float(own_fn(0.25))
         assert isinstance(served(0.25), float)
 
 
