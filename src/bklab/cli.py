@@ -37,13 +37,18 @@ def _parser():
     p.add_argument("--out", default=None,
                    help="output directory (default: config 'outputs')")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker count; 0 means one per CPU")
+                   help="worker count; 0 means one per CPU this process "
+                        "may run on")
     p.add_argument("--verbose", action="store_true")
     return p
 
 
 def _threads(k):
-    return os.cpu_count() or 1 if k == 0 else max(k, 1)
+    if k != 0:
+        return max(k, 1)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def cmd_simulate(config, out_dir, threads, verbose):

@@ -3,8 +3,9 @@
 Every scan runs its (n, replicate) cells through :func:`map_cells`, the
 one cell runner, and writes its CSVs through :func:`write_csv`. A cell
 derives its stream seed through the fixed splitmix64 chain in
-:mod:`bklab.seeds`, and every process rebuilds the model and oracle from
-the config, so outputs are a pure function of the config file: reruns
+:mod:`bklab.seeds`. Each command builds its model and oracle once, in
+the calling process, and forked workers inherit them; both builds are
+deterministic, so outputs are a pure function of the config file: reruns
 are byte-identical at any worker count, and per-replicate rows can always
 be re-aggregated from the CSVs.
 """
@@ -154,7 +155,9 @@ def gate_conditions(config, model):
     The squared-tail decay check always applies; the density-smoothness
     check applies only to models with actual dependence (a memoryless
     kernel is the classical i.i.d. case and needs no innovation
-    smoothness).
+    smoothness). The scans gate a model of its own: the decay check fills
+    its squared-tail caches up to a horizon of 2^17 (about 2 MB for a
+    power-law kernel), which forked workers would otherwise inherit.
     """
     dep = check_dependence_condition(model.coefficients, model.rho)
     if not dep.admissible:
@@ -232,55 +235,36 @@ def _oracle_record(oracle):
     return {"kind": oracle.kind, "cdf_error_bound": oracle.cdf_error_bound}
 
 
-def _init_worker(raw, cell):
-    """Build the config, model and oracle once per process. A failure is
-    kept for :func:`_run_cell` to raise: a pool respawns a worker whose
-    initializer raises, forever."""
-    try:
-        config = config_from_dict(raw)
-        model = build_model(config)
-        oracle = build_oracle(model, config)
-    except Exception as exc:
-        _WORKER["error"] = exc
-        return
-    _WORKER["oracle"] = _oracle_record(oracle)
-    _WORKER["cell"] = functools.partial(cell, model, oracle, config)
-
-
 def _run_cell(n, r):
-    if "error" in _WORKER:
-        raise _WORKER["error"]
     return _WORKER["cell"](n, r)
 
 
-def _worker_oracle():
-    return _WORKER["oracle"]
-
-
-def map_cells(config, cell, n_grid, replicates, threads):
+def map_cells(cell, model, oracle, config, n_grid, replicates, threads):
     """Rows of ``cell(model, oracle, config, n, r)`` for every (n, r), in
     (n, r) order.
 
-    Each process, including this one at ``threads <= 1``, rebuilds the
-    config, model and oracle once from ``config.raw``, so a row depends on
-    its cell alone and never on the process that ran it. The oracle's
-    kind and error bound go to ``config.built_oracle``.
+    The caller builds the model and oracle once. With one worker or one
+    task the cells run in this process; otherwise ``min(threads, tasks)``
+    workers are forked after the cell is bound in ``_WORKER`` and inherit
+    it, so they build nothing and a row depends on its cell alone. The
+    runner asks for the ``fork`` start method by name: a worker started
+    any other way would not inherit ``_WORKER``. The oracle's kind and
+    error bound go to ``config.built_oracle``.
     """
     tasks = [(n, r) for n in n_grid for r in range(replicates)]
-    if threads <= 1:
+    bound = functools.partial(cell, model, oracle, config)
+    workers = min(threads, len(tasks))
+    if workers <= 1:
+        rows = [bound(n, r) for n, r in tasks]
+    else:
+        _WORKER["cell"] = bound
         try:
-            _init_worker(config.raw, cell)
-            rows = [_run_cell(n, r) for n, r in tasks]
-            oracle = _worker_oracle()
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                rows = pool.starmap(_run_cell, tasks, chunksize=max(
+                    1, replicates // (4 * workers)))
         finally:
             _WORKER.clear()
-    else:
-        chunk = max(1, replicates // (4 * threads))
-        with multiprocessing.Pool(threads, initializer=_init_worker,
-                                  initargs=(config.raw, cell)) as pool:
-            rows = pool.starmap(_run_cell, tasks, chunksize=chunk)
-            oracle = pool.apply(_worker_oracle)
-    config.built_oracle.update(oracle)
+    config.built_oracle.update(_oracle_record(oracle))
     return rows
 
 
@@ -366,8 +350,9 @@ def run_lil_scan(config, threads=1, out_dir=None):
     Returns the rows and {n: {"mean", "median", "max"}} of ``lil_beta``.
     """
     gate_conditions(config, build_model(config))
-    rows = map_cells(config, _lil_cell, config.n_grid, config.replicates,
-                     threads)
+    model = build_model(config)
+    rows = map_cells(_lil_cell, model, build_oracle(model, config), config,
+                     config.n_grid, config.replicates, threads)
     summary = {n: _aggregate([r.lil_beta for r in rows if r.n == n])
                for n in config.n_grid}
     if out_dir is not None:
@@ -433,8 +418,9 @@ def run_rate_scan(config, threads=1, out_dir=None):
     Aggregates medians/means/maxima per n and fits log-log slopes.
     """
     gate_conditions(config, build_model(config))
-    cells = map_cells(config, _rate_cell, config.n_grid, config.replicates,
-                      threads)
+    model = build_model(config)
+    cells = map_cells(_rate_cell, model, build_oracle(model, config), config,
+                      config.n_grid, config.replicates, threads)
     rows = [row for row, _, _ in cells]
     certificates = {
         n: {"min_margin": float(np.min([m for row, m, _ in cells
@@ -578,7 +564,9 @@ def run_increment_check(config, d_n_rule="lambda_n", threads=1, out_dir=None):
     cell = functools.partial(
         _increment_cell, d_of=d_of,
         window_cells=int(config.increments.get("window_cells", 512)))
-    rows = map_cells(config, cell, config.n_grid, config.replicates, threads)
+    model = build_model(config)
+    rows = map_cells(cell, model, build_oracle(model, config), config,
+                     config.n_grid, config.replicates, threads)
     if out_dir is not None:
         write_rows_csv(os.path.join(out_dir, "increments.csv"), rows,
                        IncrementRow)
@@ -619,8 +607,7 @@ def run_covariance_check(config, x_grid=None, threads=1, out_dir=None):
     quantile-quantile deviation of the replicate sample against the
     centered Gaussian with variance Gamma.
     """
-    model = build_model(config)
-    gate_conditions(config, model)
+    gate_conditions(config, build_model(config))
     cov = config.covariance
     n = int(cov.get("n", 16384))
     reps = int(cov.get("replicates", 1000))
@@ -630,10 +617,10 @@ def run_covariance_check(config, x_grid=None, threads=1, out_dir=None):
         x_grid = cov.get("x_grid", [-1.0, 0.0, 1.0])
     x_grid = [float(x) for x in x_grid]
 
-    samples = map_cells(config, functools.partial(_covariance_cell,
-                                                  x_grid=x_grid),
-                        [n], reps, threads)
+    model = build_model(config)
     oracle = build_oracle(model, config)
+    samples = map_cells(functools.partial(_covariance_cell, x_grid=x_grid),
+                        model, oracle, config, [n], reps, threads)
     rows = []
     probs = np.arange(1, 10) / 10.0
     for ix, x in enumerate(x_grid):

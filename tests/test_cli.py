@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from bklab import cli
 from bklab.cli import main
 
 from conftest import make_config
@@ -52,6 +53,13 @@ def test_oracle_build_error_exits(tmp_path, threads, innovation, oracle,
         env=dict(os.environ, PYTHONPATH=SRC))
     assert run.returncode == 2
     assert f"error: {message}" in run.stderr
+
+
+def test_threads_zero_counts_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert cli._threads(0) == 1
 
 
 def test_unknown_subcommand(tmp_path, capsys):

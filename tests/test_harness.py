@@ -238,6 +238,45 @@ def test_threads_equivalence(tmp_path, command):
             (tmp_path / "2" / name).read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", THREAD_CASES)
+def test_one_oracle_build_per_command(tmp_path, monkeypatch, command,
+                                      threads):
+    # each build appends a line to a file, so builds in forked workers
+    # count too
+    log = tmp_path / "builds.log"
+    build = harness.build_oracle
+
+    def logged_build(model, config):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write("build\n")
+        return build(model, config)
+
+    monkeypatch.setattr(harness, "build_oracle", logged_build)
+    config, _ = THREAD_CASES[command]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli_main([command, "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--threads", threads]) == 0
+    assert log.read_text().splitlines() == ["build"]
+
+
+def test_one_task_creates_no_pool(monkeypatch):
+    cfg = config_from_dict(make_config(innovation="uniform", rho=0.3,
+                                       n_grid=(16,), replicates=1))
+    model = build_model(cfg)
+    oracle = build_oracle(model, cfg)
+    serial = harness.map_cells(harness._lil_cell, model, oracle, cfg,
+                               cfg.n_grid, cfg.replicates, 1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-task run created a pool")
+
+    monkeypatch.setattr(harness.multiprocessing, "get_context", no_pool)
+    assert harness.map_cells(harness._lil_cell, model, oracle, cfg,
+                             cfg.n_grid, cfg.replicates, 4) == serial
+
+
 def test_logistic_powerlaw_rate_scan(tmp_path):
     # a dependent non-Gaussian model, served by the Fourier engine
     config = make_config(innovation="logistic", rho=0.45, n_grid=(4096,),

@@ -1,4 +1,5 @@
-"""Per-stage wall times of one rate-scan cell, written as a BENCH record.
+"""Per-stage wall times of one rate-scan cell, and wall times of whole
+rate-scan commands, written as a BENCH record.
 
 Usage:
 
@@ -29,6 +30,14 @@ Before any of that, the same interpreter records its start-up: the wall
 time of ``import bklab.cli``, the peak resident set size (``ru_maxrss``)
 right after it, and the public ``scipy.*`` modules the import loaded.
 
+Right after the start-up record, before the cells grow the process that
+a pool forks, it times whole commands: one in-process ``bklab.cli.main``
+``rate-scan`` at ``--threads`` 1 and 2, after one warm-up call, for two
+shapes: the benchmark's ``scan-logistic`` (logistic power-law tau=3,
+n = 16 and 24, one replicate), where set-up and workers dominate, and a
+Gaussian power-law scan at n = 2^18 with two replicates (nu = 2.5),
+where the cells do.
+
 After the cells it times the covariance stage of ``covariance-check`` on
 the benchmark's block (Gaussian MA(1) [1, 0.5], lag horizon 8, 40 000
 draws): ``harness.covariance_gamma`` at x = -1, 0 and 1 with the seeds
@@ -48,6 +57,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 N_VALUES = (2 ** 12, 2 ** 18)
@@ -70,11 +80,21 @@ COVARIANCE_MODEL = {"innovation": {"name": "gaussian"},
                     "rho": 0.45, "gamma1": 1.0, "gamma2": 1.0}
 COVARIANCE = {"n": 2 ** 14, "replicates": 1000, "x_grid": [-1.0, 0.0, 1.0],
               "lag_horizon": 8, "mc_draws": 40_000}
+# whole rate-scan commands: name -> (model, n grid, replicates, nu)
+COMMANDS = {
+    "logistic-powerlaw n=16,24 x1": (
+        {"innovation": {"name": "logistic"},
+         "coefficients": {"kind": "power_law", "tau": 3.0}, "rho": 0.45},
+        (16, 24), 1, None),
+    "gaussian-powerlaw n=2^18 x2": (MODELS["gaussian-powerlaw"][0],
+                                    (2 ** 18,), 2, 2.5),
+}
+COMMAND_THREADS = (1, 2)
 
 
-def _config(model, nu, seed):
+def _config(model, nu, seed, n_grid=N_VALUES, replicates=1):
     return {"version": 1, "model": model,
-            "scan": {"n_grid": list(N_VALUES), "replicates": 1,
+            "scan": {"n_grid": list(n_grid), "replicates": replicates,
                      "master_seed": seed, "interval": [0.05, 0.95],
                      "nu": nu}}
 
@@ -193,6 +213,7 @@ def measure(tree, seed, replicate):
         "scipy_modules": sorted(m for m in sys.modules
                                 if m.count(".") == 1 and m.startswith("scipy.")
                                 and not m.startswith("scipy._"))}}
+    out["commands"] = _command_stage(seed)
     from bklab import bk, harness
 
     for name, (model_block, nu) in MODELS.items():
@@ -249,6 +270,29 @@ def _covariance_stage(harness, seed):
     ests = [gamma(ix, x) for ix, x in enumerate(COVARIANCE["x_grid"])]
     return {"gamma_s": time.perf_counter() - start,
             "values": [[e.x, e.gamma, bool(e.converged)] for e in ests]}
+
+
+def _command_stage(seed):
+    """Seconds of one ``bklab.cli.main`` rate-scan per shape of
+    ``COMMANDS`` and thread count, each after one warm-up call."""
+    from bklab.cli import main
+
+    out = {}
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "config.json")
+        for name, (model, n_grid, replicates, nu) in COMMANDS.items():
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(_config(model, nu, seed, n_grid, replicates), fh)
+            for threads in COMMAND_THREADS:
+                argv = ["rate-scan", "--config", path, "--out",
+                        os.path.join(work, "out"), "--threads", str(threads)]
+                if main(argv) != 0:  # warm-up
+                    raise RuntimeError(f"rate-scan {name} failed")
+                start = time.perf_counter()
+                main(argv)
+                out[f"{name} threads={threads}"] = (time.perf_counter()
+                                                    - start)
+    return out
 
 
 def _commit(tree):
@@ -343,6 +387,9 @@ def main(argv=None):
             "gamma(x,x) at x=-1,0,1": _summary(
                 [r["covariance"]["gamma_s"] for r in runs]),
             "values_round_1": runs[0]["covariance"]["values"]}
+        models["rate-scan command"] = {
+            key: _summary([r["commands"][key] for r in runs])
+            for key in runs[0]["commands"]}
         record["trees"][label] = dict(_commit(tree), startup={
             "import_bklab_cli": _summary([s["import_s"] for s in startup]),
             "maxrss_after_import_mb": {"median": statistics.median(rss),
