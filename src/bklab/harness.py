@@ -19,7 +19,6 @@ import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 from scipy.special import ndtri
 
 from . import __version__
@@ -63,6 +62,8 @@ class ExperimentConfig:
                                compare=False)
 
     def __post_init__(self):
+        if not self.n_grid:
+            raise ConfigError("n_grid must list at least one n")
         if any(int(n) < 16 for n in self.n_grid):
             raise ConfigError("every n in n_grid must be at least 16")
         if list(self.n_grid) != sorted(set(int(n) for n in self.n_grid)):
@@ -461,58 +462,61 @@ def run_rate_scan(config, threads=1, out_dir=None):
 # ---------------------------------------------------------------------------
 # increment modulus
 
+_EXTREMA_BLOCK = 1 << 14  # queries per block of _range_extrema: fits in cache
 
-def increment_modulus(pit_sorted, d, window_cells=512):
-    """Grid sup of |g(v) - g(u)| over pairs with |u - v| <= d, for
-    g(y) = E_n(y) - y.
 
-    Evaluation points are both one-sided limits at every jump of E_n plus
-    a uniform seeding at the cell width d/window_cells; pairs are matched
-    through cells, so the result is exact on the point set up to one cell
-    width of window slack.
-    """
+def _range_extrema(a, first, last):
+    """Max and min of ``a[first[q]:last[q] + 1]`` for each query q, for
+    nondecreasing ``first`` and ``last``. Each block of queries builds the
+    sparse-table levels of its span of ``a`` one at a time (level k: the
+    extrema of 2^k entries) and answers each query at its level."""
+    big, small = np.empty(first.size), np.empty(first.size)
+    for s in range(0, first.size, _EXTREMA_BLOCK):
+        lo, hi = first[s:s + _EXTREMA_BLOCK], last[s:s + _EXTREMA_BLOCK]
+        top = bottom = a[lo[0]:hi[-1] + 1]
+        lo, hi, start = lo - lo[0], hi - lo[0], 0
+        level = np.frexp(hi - lo + 1)[1] - 1
+        order = np.argsort(level, kind="stable")
+        for k, stop in enumerate(np.cumsum(np.bincount(level))):
+            if k:
+                h = 1 << (k - 1)
+                top = np.maximum(top[:-h], top[h:])
+                bottom = np.minimum(bottom[:-h], bottom[h:])
+            q = order[start:stop]
+            i, j = lo[q], hi[q] + 1 - (1 << k)
+            big[s + q] = np.maximum(top[i], top[j])
+            small[s + q] = np.minimum(bottom[i], bottom[j])
+            start = stop
+    return big, small
+
+
+def increment_modulus(pit_sorted, d):
+    """Exact sup of |g(v) - g(u)| over u, v in [0, 1] with |u - v| <= d,
+    for g = E_n - id. With P_0 = 0 <= P_1 <= ... <= P_n the sorted sample,
+    P_{n+1} = 1, a_k = k/n - P_k and d capped at 1, it is the largest of:
+    rise (P_i-, P_j], 1/n + a_j - a_i over i <= j with 0 < P_i, P_j < P_i + d;
+    fall (P_i, P_m-), 1/n + a_i - a_m over 0 <= i < m with P_m <= P_i + d;
+    window (P_i, P_i + d] for P_i + d < 1, d - (its point count)/n.
+    One search of P + d gives each row's last point and window count; a
+    row with a point at exactly P_i + d is queried again for rise."""
     us = np.asarray(pit_sorted, dtype=float)
     n = us.size
     if not 0.0 < d:
         raise ValueError("window width d must be positive")
     d = min(d, 1.0)
-    h = d / window_cells
-    off = 1e-12
-    knots = np.concatenate([
-        us - off, us + off,
-        np.arange(0.5 * h, 1.0, h),
-        [off, 1.0 - off],
-    ])
-    knots = np.sort(knots[(knots > 0.0) & (knots < 1.0)])
-    g = np.searchsorted(us, knots, side="right") / n - knots
-
-    cells = (knots / h).astype(np.int64)
-    ncells = int(cells[-1]) + 1
-    bounds = np.searchsorted(cells, np.arange(ncells + 1))
-    has = bounds[1:] > bounds[:-1]
-    cmax = np.full(ncells, -np.inf)
-    cmin = np.full(ncells, np.inf)
-    idx = bounds[:-1][has]
-    cmax[has] = np.maximum.reduceat(g, idx)
-    cmin[has] = np.minimum.reduceat(g, idx)
-    # empty cells inherit a neighbor so the filters stay finite
-    if not np.all(has):
-        fill = np.where(has)[0]
-        nearest = fill[np.clip(np.searchsorted(fill, np.arange(ncells)), 0,
-                               fill.size - 1)]
-        cmax[~has] = cmax[nearest[~has]]
-        cmin[~has] = cmin[nearest[~has]]
-
-    w = int(window_cells)
-    size = w + 1
-    # forward-looking window [i, i + w]
-    fmax = maximum_filter1d(cmax, size=size, origin=-(size // 2),
-                            mode="nearest")
-    fmin = minimum_filter1d(cmin, size=size, origin=-(size // 2),
-                            mode="nearest")
-    rise = float((fmax - cmin).max())
-    fall = float((cmax - fmin).max())
-    return max(rise, fall, 0.0)
+    p = np.concatenate([[0.0], us])
+    a = np.arange(n + 1) / n - p
+    ends = p + d
+    last = np.searchsorted(p, ends, side="right") - 1
+    big, small = _range_extrema(a, np.arange(n + 1), last)
+    tied = np.flatnonzero((p[last] == ends) & (ends > p))
+    big[tied] = _range_extrema(a, tied, np.searchsorted(p, ends[tied]) - 1)[0]
+    zero = np.searchsorted(p, 0.0, side="right")  # rise needs P_i > 0
+    inside = ends < 1.0
+    return max(1.0 / n + float((big[zero:n + 1] - a[zero:]).max(initial=-1)),
+               1.0 / n + float((a - small[:n + 1]).max()),
+               float(a[~inside].max(initial=0.0)),  # fall to P_{n+1}
+               d - (last - np.arange(n + 1))[inside].min(initial=n) / n)
 
 
 @dataclass(frozen=True)
@@ -525,12 +529,12 @@ class IncrementRow:
     normalized: float
 
 
-def _increment_cell(model, oracle, config, n, r, d_of, window_cells):
+def _increment_cell(model, oracle, config, n, r, d_of):
     d = d_of[n]
     seed = mix_seed(config.master_seed, n, r)
     path = simulate_path(model, n, seed, trunc_tol=config.trunc_tol)
     us = _sorted_pit(path, oracle, np.sort(path.x))
-    mod = increment_modulus(us, d, window_cells=window_cells)
+    mod = increment_modulus(us, d)
     norm = math.sqrt(d * math.log(n) / n)
     return IncrementRow(n=n, replicate=r, seed=seed, d_n=d, modulus=mod,
                         normalized=mod / norm)
@@ -549,10 +553,18 @@ def run_increment_check(config, d_n_rule="lambda_n", threads=1, out_dir=None):
     if d_n_rule == "lambda_n":
         d_of = {n: rate_lambda(n) for n in config.n_grid}
     elif isinstance(d_n_rule, dict):
-        d_of = {int(n): float(d) for n, d in d_n_rule.items()}
+        d_of = {}
+        for key, d in d_n_rule.items():
+            try:
+                d_of[int(key)] = float(d)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"d_n_rule entry {key!r}: {d!r} is not a "
+                                  "sample size and a window") from exc
     else:
         raise ConfigError(f"unknown d_n rule {d_n_rule!r}")
     for n in config.n_grid:
+        if n not in d_of:
+            raise ConfigError(f"d_n_rule has no window for n={n}")
         d = d_of[n]
         if not (0.0 < d <= 1.0):
             raise ConfigError(f"d_n must lie in (0, 1], got {d} at n={n}")
@@ -561,9 +573,7 @@ def run_increment_check(config, d_n_rule="lambda_n", threads=1, out_dir=None):
                 f"window too small at n={n}: need n*d_n/log(n) >= 10, "
                 f"got {n * d / math.log(n):.3g}")
 
-    cell = functools.partial(
-        _increment_cell, d_of=d_of,
-        window_cells=int(config.increments.get("window_cells", 512)))
+    cell = functools.partial(_increment_cell, d_of=d_of)
     model = build_model(config)
     rows = map_cells(cell, model, build_oracle(model, config), config,
                      config.n_grid, config.replicates, threads)
@@ -607,16 +617,24 @@ def run_covariance_check(config, x_grid=None, threads=1, out_dir=None):
     quantile-quantile deviation of the replicate sample against the
     centered Gaussian with variance Gamma.
     """
-    gate_conditions(config, build_model(config))
     cov = config.covariance
-    n = int(cov.get("n", 16384))
-    reps = int(cov.get("replicates", 1000))
-    lag_horizon = int(cov.get("lag_horizon", 8))
-    mc_draws = int(cov.get("mc_draws", 4000))
     if x_grid is None:
         x_grid = cov.get("x_grid", [-1.0, 0.0, 1.0])
-    x_grid = [float(x) for x in x_grid]
-
+    try:
+        n = int(cov.get("n", 16384))
+        reps = int(cov.get("replicates", 1000))
+        lag_horizon = int(cov.get("lag_horizon", 8))
+        mc_draws = int(cov.get("mc_draws", 4000))
+        x_grid = [float(x) for x in x_grid]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed covariance block: {exc}") from exc
+    if n < 1 or reps < 2:
+        raise ConfigError("covariance needs n >= 1 and replicates >= 2, got "
+                          f"n={n}, replicates={reps}")
+    if not x_grid or not all(map(math.isfinite, x_grid)):
+        raise ConfigError(
+            f"covariance x_grid must list finite x, got {x_grid}")
+    gate_conditions(config, build_model(config))
     model = build_model(config)
     oracle = build_oracle(model, config)
     samples = map_cells(functools.partial(_covariance_cell, x_grid=x_grid),

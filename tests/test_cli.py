@@ -23,7 +23,8 @@ def write_config(tmp_path, d, name="config.json"):
 
 def test_import_loads_no_heavy_scipy_subpackage():
     # scipy.signal, which loads stats, interpolate and optimize, is imported
-    # only by the FFT convolution branch; nothing else imports scipy.optimize
+    # only by the FFT convolution branch; nothing else imports scipy.optimize,
+    # and nothing imports scipy.ndimage
     code = ("import sys, bklab.cli; print(' '.join(sorted(m for m in "
             "sys.modules if m.startswith('scipy.'))))")
     run = subprocess.run([sys.executable, "-c", code], check=True,
@@ -31,7 +32,7 @@ def test_import_loads_no_heavy_scipy_subpackage():
                          env=dict(os.environ, PYTHONPATH=SRC))
     loaded = set(run.stdout.split())
     for name in ("scipy.signal", "scipy.optimize", "scipy.stats",
-                 "scipy.interpolate"):
+                 "scipy.interpolate", "scipy.ndimage"):
         assert name not in loaded
 
 

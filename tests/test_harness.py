@@ -65,6 +65,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="16"):
             config_from_dict(make_config(n_grid=(8, 16)))
 
+    def test_empty_grid_rejected(self):
+        # an empty grid used to pass here and fail later: simulate raised
+        # IndexError and rate-scan wrote header-only CSVs
+        with pytest.raises(ConfigError, match="at least one n"):
+            config_from_dict(make_config(n_grid=()))
+
     def test_non_increasing_rejected(self):
         with pytest.raises(ConfigError, match="increasing"):
             config_from_dict(make_config(n_grid=(64, 32)))
@@ -333,28 +339,78 @@ def test_manifest_takes_the_oracle_the_run_built(tmp_path, monkeypatch,
     assert oracle == expected and oracle["kind"] == "fourier"
 
 
-class TestIncrementModulus:
-    def brute(self, us, knots, d):
-        g = np.searchsorted(us, knots, side="right") / us.size - knots
-        best = 0.0
-        for i, u in enumerate(knots):
-            in_win = np.abs(knots - u) <= d
-            best = max(best, float(np.max(np.abs(g[in_win] - g[i]))))
-        return best
+def brute_modulus(us, d):
+    """sup |g(v) - g(u)| for g = E_n - id over u, v in [0, 1] with
+    |u - v| <= d, by comparing every pair of candidate positions.
 
+    The candidates are 0, 1, d, 1 - d and each sample point shifted by 0,
+    +d and -d, each taken as the point itself and as its left and right
+    limit. A limit is the point moved by an infinitesimal, so a pair at
+    distance exactly d qualifies only when the infinitesimals do not widen
+    it. Exact when the sample and d are dyadic.
+    """
+    n = us.size
+    d = min(d, 1.0)
+    ys = np.concatenate([us, us + d, us - d, [0.0, 1.0, d, 1.0 - d]])
+    ys = np.unique(ys[(ys >= 0.0) & (ys <= 1.0)])
+    below = np.searchsorted(us, ys, side="left") / n - ys   # g(y-)
+    at = np.searchsorted(us, ys, side="right") / n - ys     # g(y) = g(y+)
+    pos, side, val = [], [], []
+    for s, g in ((-1, below), (0, at), (1, at)):
+        keep = ~(((ys == 0.0) & (s < 0)) | ((ys == 1.0) & (s > 0)))
+        pos.append(ys[keep])
+        side.append(np.full(int(keep.sum()), s))
+        val.append(g[keep])
+    pos, side, val = map(np.concatenate, (pos, side, val))
+    gap = pos[None, :] - pos[:, None]
+    tilt = side[None, :] - side[:, None]
+    after = (gap > 0.0) | ((gap == 0.0) & (tilt >= 0))
+    near = (gap < d) | ((gap == d) & (tilt <= 0))
+    return float(np.abs(val[None, :] - val[:, None])[after & near].max())
+
+
+def dyadic_cases(seed, count=60):
+    """Small samples with dyadic windows, every other one on the 1/16 grid
+    (ties, points at 0 and 1) and the rest on the 2^-20 grid. On the
+    1/16 grid some points lie exactly d = k/16 apart and d = 2^-20 is
+    below every nonzero gap; at d = 2^-60, P + d rounds to P for most
+    points; d >= 1 covers the whole interval."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(1, 41))
+        steps = 16 if case % 2 else 2 ** 20
+        us = np.sort(rng.integers(0, steps + 1, n) / steps)
+        d = [rng.integers(1, 17) / 16.0, rng.integers(1, 65) / 64.0,
+             2.0 ** -20, 2.0 ** -60, 1.0, 1.5][case // 2 % 6]
+        yield us, float(d)
+
+
+class TestIncrementModulus:
     def test_against_brute_force(self):
-        rng = np.random.default_rng(3)
-        us = np.sort(rng.random(24))
-        d = 0.2
-        mod = increment_modulus(us, d, window_cells=64)
-        h = d / 64
-        knots = np.sort(np.concatenate([
-            us - 1e-12, us + 1e-12, np.arange(0.5 * h, 1.0, h),
-            [1e-12, 1.0 - 1e-12]]))
-        knots = knots[(knots > 0) & (knots < 1)]
-        lo = self.brute(us, knots, d)
-        hi = self.brute(us, knots, d + 2 * h)
-        assert lo - 1e-12 <= mod <= hi + 1e-12
+        for seed in (1, 2, 3):
+            for us, d in dyadic_cases(seed):
+                assert increment_modulus(us, d) == pytest.approx(
+                    brute_modulus(us, d), abs=1e-15), (us.tolist(), d)
+
+    def test_range_extrema_across_blocks(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        a = rng.random(300)
+        first = np.sort(rng.integers(0, 300, 200))
+        last = np.maximum.accumulate(
+            np.minimum(first + rng.integers(0, 40, 200), 299))
+        for block in (1, 7, 64, 1 << 14):
+            monkeypatch.setattr(harness, "_EXTREMA_BLOCK", block)
+            big, small = harness._range_extrema(a, first, last)
+            assert big.tolist() == [a[i:j + 1].max()
+                                    for i, j in zip(first, last)]
+            assert small.tolist() == [a[i:j + 1].min()
+                                      for i, j in zip(first, last)]
+
+    def test_point_exactly_d_apart_is_outside_a_rise(self):
+        # (0.25-, 0.5] would hold both points but is longer than d = 0.25
+        us = np.array([0.25, 0.5])
+        assert increment_modulus(us, 0.25) == 0.5
+        assert increment_modulus(us, 0.25 + 2.0 ** -20) == 0.75
 
     def test_whole_line_reduces_to_range(self):
         rng = np.random.default_rng(9)
@@ -366,9 +422,8 @@ class TestIncrementModulus:
     def test_monotone_in_window(self):
         rng = np.random.default_rng(5)
         us = np.sort(rng.random(64))
-        # same cell width h = 0.05/128 for both windows
-        m1 = increment_modulus(us, 0.05, window_cells=128)
-        m2 = increment_modulus(us, 0.10, window_cells=256)
+        m1 = increment_modulus(us, 0.05)
+        m2 = increment_modulus(us, 0.10)
         assert m2 >= m1 - 1e-12
 
 
@@ -378,6 +433,36 @@ class TestIncrementCheck:
             innovation="uniform", rho=0.3, n_grid=(16,), replicates=1))
         with pytest.raises(ConfigError, match="n\\*d_n"):
             run_increment_check(cfg)
+
+    @pytest.mark.parametrize("rule, message", [
+        ({"2048": 0.05}, "no window for n=4096"),
+        ({"abc": 0.05}, "'abc'"),
+        ({"4096": "wide"}, "'wide'"),
+    ], ids=["missing-n", "bad-key", "bad-window"])
+    def test_bad_d_n_mapping(self, rule, message):
+        cfg = config_from_dict(make_config(
+            innovation="uniform", rho=0.3, n_grid=(4096,), replicates=1))
+        with pytest.raises(ConfigError, match=message):
+            run_increment_check(cfg, d_n_rule=rule)
+
+    def test_d_n_mapping_from_config(self, tmp_path):
+        config = make_config(innovation="uniform", rho=0.3, n_grid=(4096,),
+                             replicates=1,
+                             extra={"increments": {"d_n_rule": {"4096": 0.05},
+                                                   "window_cells": 64}})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli_main(["increment-check", "--config", str(path), "--out",
+                         str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "increments.csv").read_text().splitlines()
+        assert rows[1].split(",")[3] == "0.05"
+        # the former window_cells key is ignored
+        config["increments"] = {"d_n_rule": {"4096": 0.05}}
+        path.write_text(json.dumps(config))
+        assert cli_main(["increment-check", "--config", str(path), "--out",
+                         str(tmp_path / "plain")]) == 0
+        assert (tmp_path / "plain" / "increments.csv").read_bytes() == \
+            (tmp_path / "out" / "increments.csv").read_bytes()
 
     def test_lambda_window_rows(self):
         cfg = config_from_dict(make_config(
@@ -393,6 +478,27 @@ class TestIncrementCheck:
 
 
 class TestCovarianceCheck:
+    @pytest.mark.parametrize("block, message", [
+        ({"replicates": 1}, "replicates >= 2"),
+        ({"replicates": 0}, "replicates >= 2"),
+        ({"n": 0}, "n >= 1"),
+        ({"x_grid": ["left"]}, "malformed covariance block"),
+        ({"x_grid": [0.0, None]}, "malformed covariance block"),
+        ({"x_grid": []}, "x_grid"),
+        ({"replicates": "many"}, "malformed covariance block"),
+    ], ids=["one-replicate", "no-replicates", "n-zero", "word-x", "null-x",
+            "empty-x", "word-replicates"])
+    def test_bad_block_rejected_before_any_cell(self, monkeypatch, block,
+                                                message):
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(harness, "map_cells", no_cells)
+        cfg = config_from_dict(make_config(
+            n_grid=(16,), replicates=1,
+            extra={"covariance": dict({"n": 64, "replicates": 4}, **block)}))
+        with pytest.raises(ConfigError, match=message):
+            run_covariance_check(cfg)
+
     def test_iid_both_sides_zero(self):
         cfg = config_from_dict(make_config(
             innovation="uniform", rho=0.3, n_grid=(64,), replicates=1,

@@ -24,7 +24,10 @@ one cell per n, stage by stage:
 
 The stages replay ``harness._rate_cell`` step by step; the record also
 holds the wall time of the real ``_rate_cell`` on the same cell, and the
-replay's row is checked against it. Medians and minima are over rounds.
+replay's row is checked against it. Next to the cell stages, the
+increment stage times ``harness.increment_modulus(us, rate_lambda(n))``
+on the cell's sorted PIT ``us``, after one warm-up call. Medians and
+minima are over rounds.
 
 Before any of that, the same interpreter records its start-up: the wall
 time of ``import bklab.cli``, the peak resident set size (``ru_maxrss``)
@@ -241,10 +244,29 @@ def measure(tree, seed, replicate):
             if repr(row) != repr(expected):
                 raise RuntimeError(f"replay of {name} n={n} differs from "
                                    f"_rate_cell: {row} vs {expected}")
-            cells[str(n)] = dict(clock.seconds, cell=cell_s)
+            cells[str(n)] = dict(clock.seconds, cell=cell_s,
+                                 increment=_increment_stage(
+                                     harness, model, oracle, config, n,
+                                     replicate))
         out[name] = cells
     out["covariance"] = _covariance_stage(harness, seed)
     return out
+
+
+def _increment_stage(harness, model, oracle, config, n, r):
+    """Seconds of one ``increment_modulus`` call at d = lambda_n on the
+    sorted PIT of cell (n, r), after one warm-up call."""
+    import numpy as np
+    from bklab.bk import rate_lambda
+    from bklab.seeds import mix_seed
+
+    path = harness.simulate_path(model, n, mix_seed(config.master_seed, n, r),
+                                 trunc_tol=config.trunc_tol)
+    us = harness._sorted_pit(path, oracle, np.sort(path.x))
+    harness.increment_modulus(us, rate_lambda(n))  # warm-up
+    start = time.perf_counter()
+    harness.increment_modulus(us, rate_lambda(n))
+    return time.perf_counter() - start
 
 
 def _covariance_stage(harness, seed):
@@ -378,7 +400,7 @@ def main(argv=None):
             entry = {"oracle_build": _summary(
                 [r[name]["oracle_build_s"] for r in runs])}
             for n in N_VALUES:
-                keys = (*STAGES, "cell")
+                keys = (*STAGES, "cell", "increment")
                 entry[f"n={n}"] = {k: _summary([r[name][str(n)][k]
                                                  for r in runs])
                                    for k in keys}
