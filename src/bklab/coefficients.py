@@ -30,13 +30,12 @@ class CoefficientSequence:
     """One-sided MA coefficient sequence with tail-mass queries."""
 
     def __init__(self, kind, params, weights_fn, tail_sq_fn, root_tail_fn,
-                 abs_sum, memory):
+                 memory):
         self.kind = kind
         self.params = params
         self._weights_fn = weights_fn
         self._tail_sq_fn = tail_sq_fn
         self._sqrt_tail_sum_fn = root_tail_fn
-        self.abs_sum = float(abs_sum)
         #: largest index with a nonzero coefficient, or None if infinite
         self.memory = memory
 
@@ -64,10 +63,6 @@ class CoefficientSequence:
         if i < 0:
             raise ValueError("tail index must be >= 0")
         return self._sqrt_tail_sum_fn(int(i))
-
-    @property
-    def c0(self):
-        return 1.0
 
     @property
     def sum_sq(self):
@@ -144,20 +139,10 @@ def make_power_law_coefficients(tau):
                                 + rem)
         return float(root_suffixes[n][i])
 
-    abs_sum = _abs_sum_power_law(tau)
     return CoefficientSequence(
         kind="power_law", params={"tau": tau},
         weights_fn=weights_fn, tail_sq_fn=tail_sq,
-        root_tail_fn=root_tail_sum, abs_sum=abs_sum, memory=None)
-
-
-def _abs_sum_power_law(tau):
-    n = 65536
-    k = np.arange(1, n, dtype=float)
-    s = 1.0 + float(np.sum((1.0 + k) ** (-tau) * np.log(_LOG_SHIFT + k) ** (-1.5)))
-    # integral bound on the remainder
-    s += float(n) ** (1.0 - tau) / (tau - 1.0) * math.log(_LOG_SHIFT + n) ** (-1.5)
-    return s
+        root_tail_fn=root_tail_sum, memory=None)
 
 
 def make_geometric_coefficients(r):
@@ -181,7 +166,6 @@ def make_geometric_coefficients(r):
     return CoefficientSequence(
         kind="geometric", params={"r": r},
         weights_fn=weights, tail_sq_fn=tail_sq, root_tail_fn=root_tail_sum,
-        abs_sum=1.0 / (1.0 - abs(r)),
         memory=(0 if r == 0.0 else None))
 
 
@@ -211,7 +195,7 @@ def make_finite_coefficients(values):
     return CoefficientSequence(
         kind="finite", params={"values": tuple(float(v) for v in vals)},
         weights_fn=weights, tail_sq_fn=tail_sq, root_tail_fn=root_tail_sum,
-        abs_sum=float(np.abs(vals).sum()), memory=memory)
+        memory=memory)
 
 
 def make_coefficients(kind, **params):

@@ -146,25 +146,29 @@ def build_oracle(model, config):
     if mode == "auto":
         if model.innovations.name == "gaussian":
             return exact_marginal_oracle(model)
-        return build_marginal_oracle(model, trunc_tol=spec.get("trunc_tol"))
+        return build_marginal_oracle(model)
     raise ConfigError(f"unknown oracle mode {mode!r}")
 
 
 def gate_conditions(config, model):
     """Abort-style condition checks shared by the scan entry points.
 
-    The squared-tail decay check always applies; the density-smoothness
-    check applies only to models with actual dependence (a memoryless
-    kernel is the classical i.i.d. case and needs no innovation
-    smoothness). The scans gate a model of its own: the decay check fills
-    its squared-tail caches up to a horizon of 2^17 (about 2 MB for a
-    power-law kernel), which forked workers would otherwise inherit.
+    The squared-tail decay check applies to every kernel but the power
+    law, whose analytic verdict (tau > 5/2, rho >= 2/(2 tau - 1)) a model
+    meets by construction; its numerical product would only fill the
+    kernel's squared-tail caches up to 2^17. The density-smoothness check
+    applies only to models with actual dependence (a memoryless kernel is
+    the classical i.i.d. case and needs no innovation smoothness). Returns
+    the two reports, None where a check did not run.
     """
-    dep = check_dependence_condition(model.coefficients, model.rho)
-    if not dep.admissible:
-        raise ModelError(
-            "dependence gate failed: squared coefficient tails do not decay "
-            f"like i^(-2/rho) log(i)^-3 at rho={model.rho}\n" + dep.describe())
+    dep = None
+    if model.coefficients.kind != "power_law":
+        dep = check_dependence_condition(model.coefficients, model.rho)
+        if not dep.admissible:
+            raise ModelError(
+                "dependence gate failed: squared coefficient tails do not "
+                f"decay like i^(-2/rho) log(i)^-3 at rho={model.rho}\n"
+                + dep.describe())
     smooth = None
     if model.has_memory:
         smooth = validate_innovation(model.innovations)
@@ -350,8 +354,8 @@ def run_lil_scan(config, threads=1, out_dir=None):
     only sup|beta| / (2 log log n)^(1/2) and its PIT-side counterpart.
     Returns the rows and {n: {"mean", "median", "max"}} of ``lil_beta``.
     """
-    gate_conditions(config, build_model(config))
     model = build_model(config)
+    gate_conditions(config, model)
     rows = map_cells(_lil_cell, model, build_oracle(model, config), config,
                      config.n_grid, config.replicates, threads)
     summary = {n: _aggregate([r.lil_beta for r in rows if r.n == n])
@@ -418,8 +422,8 @@ def run_rate_scan(config, threads=1, out_dir=None):
     and both normalized sup statistics for the iterated-logarithm check.
     Aggregates medians/means/maxima per n and fits log-log slopes.
     """
-    gate_conditions(config, build_model(config))
     model = build_model(config)
+    gate_conditions(config, model)
     cells = map_cells(_rate_cell, model, build_oracle(model, config), config,
                       config.n_grid, config.replicates, threads)
     rows = [row for row, _, _ in cells]
@@ -549,7 +553,8 @@ def run_increment_check(config, d_n_rule="lambda_n", threads=1, out_dir=None):
     increment bound is negligible at this window choice and is omitted
     from the normalizer.
     """
-    gate_conditions(config, build_model(config))
+    model = build_model(config)
+    gate_conditions(config, model)
     if d_n_rule == "lambda_n":
         d_of = {n: rate_lambda(n) for n in config.n_grid}
     elif isinstance(d_n_rule, dict):
@@ -574,7 +579,6 @@ def run_increment_check(config, d_n_rule="lambda_n", threads=1, out_dir=None):
                 f"got {n * d / math.log(n):.3g}")
 
     cell = functools.partial(_increment_cell, d_of=d_of)
-    model = build_model(config)
     rows = map_cells(cell, model, build_oracle(model, config), config,
                      config.n_grid, config.replicates, threads)
     if out_dir is not None:
@@ -634,8 +638,15 @@ def run_covariance_check(config, x_grid=None, threads=1, out_dir=None):
     if not x_grid or not all(map(math.isfinite, x_grid)):
         raise ConfigError(
             f"covariance x_grid must list finite x, got {x_grid}")
-    gate_conditions(config, build_model(config))
     model = build_model(config)
+    # Monte Carlo lag terms, the only ones these keys reach
+    if model.innovations.name != "gaussian" and (lag_horizon < 1
+                                                 or mc_draws < 1000):
+        raise ConfigError(
+            "covariance needs lag_horizon >= 1 and mc_draws >= 1000 for "
+            f"{model.innovations.name} innovations, got lag_horizon="
+            f"{lag_horizon}, mc_draws={mc_draws}")
+    gate_conditions(config, model)
     oracle = build_oracle(model, config)
     samples = map_cells(functools.partial(_covariance_cell, x_grid=x_grid),
                         model, oracle, config, [n], reps, threads)

@@ -61,6 +61,16 @@ class LinearProcessModel:
         """Marginal standard deviation (innovation scale included)."""
         return self.innovations.scale * math.sqrt(self.coefficients.sum_sq)
 
+    def horizon(self, trunc_tol=None):
+        """Lag horizon K: the smallest lag whose remaining tail standard
+        deviation, innovation scale included, is at most ``trunc_tol``
+        (default 1e-6 * sigma). Lags up to K are kept exactly by the path
+        simulation, the Fourier engine and the Monte Carlo windows."""
+        if trunc_tol is None:
+            trunc_tol = 1e-6 * max(self.sigma, 1e-12)
+        scale = max(self.innovations.scale, 1e-300)
+        return truncation_horizon(self.coefficients, trunc_tol / scale)
+
     @property
     def has_memory(self):
         return self.coefficients.memory != 0
@@ -543,15 +553,14 @@ def _shaped(fn, v):
     return float(out) if arr.shape == () else out
 
 
-def build_marginal_oracle(model, trunc_tol=None):
+def build_marginal_oracle(model):
     """Numerical marginal oracle: the single-point oracle for a memoryless
     kernel, whose predictor is identically zero, and the Fourier engine
     for a model with memory.
 
-    ``trunc_tol`` is the predictor truncation tolerance (defaults to
-    1e-6 * sigma): lags up to the horizon K enter the engine exactly, the
-    rest as a Gaussian top-up. The engine needs a smooth innovation law
-    and raises ModelError otherwise.
+    Lags up to the model's default horizon K enter the engine exactly,
+    the rest as a Gaussian top-up. The engine needs a smooth innovation
+    law and raises ModelError otherwise.
     """
     innov = model.innovations
     coeffs = model.coefficients
@@ -562,9 +571,7 @@ def build_marginal_oracle(model, trunc_tol=None):
         raise ModelError(
             f"the Fourier marginal engine needs a smooth innovation "
             f"density; {innov.name!r} is not smooth")
-    if trunc_tol is None:
-        trunc_tol = 1e-6 * max(model.sigma, 1e-12)
-    K = truncation_horizon(coeffs, trunc_tol / max(innov.scale, 1e-300))
+    K = model.horizon()
     engine = FourierMarginal(innov, coeffs.weights(K),
                              coeffs.tail_sq(K + 1) * innov.scale ** 2)
     return MarginalOracle(model.model_id, "fourier", engine, model.gamma1,

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import truncation_horizon
 from .errors import ModelError
 
 _DIRECT_LIMIT = 100_000_000  # K*n above this switches to FFT convolution
@@ -83,12 +82,7 @@ def simulate_path(model, n, seed, trunc_tol=None, method=None):
         raise ValueError("path length must be at least 1")
     innov = model.innovations
     coeffs = model.coefficients
-    if trunc_tol is None:
-        trunc_tol = 1e-6 * max(model.sigma, 1e-12)
-    if trunc_tol <= 0:
-        raise ValueError("trunc_tol must be positive")
-
-    K = truncation_horizon(coeffs, trunc_tol / max(innov.scale, 1e-300))
+    K = model.horizon(trunc_tol)
     rng = np.random.default_rng(seed)
     eps = innov.sample(rng, n + K)
 

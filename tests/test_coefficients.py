@@ -79,7 +79,6 @@ class TestGeometricAndFinite:
         assert c.eval(3) == 0.125
         assert c.tail_sq(0) == pytest.approx(1.0 / (1.0 - 0.25), rel=1e-14)
         assert c.tail_sq(2) == pytest.approx(0.25 ** 2 / 0.75, rel=1e-14)
-        assert c.abs_sum == pytest.approx(2.0)
 
     def test_geometric_requires_contraction(self):
         with pytest.raises(ModelError):

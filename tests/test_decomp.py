@@ -136,6 +136,34 @@ class TestTruncatedMarginals:
         # long truncations approach the full marginal
         assert np.max(np.abs(tm.cdf(4096, x) - oracle.cdf(x))) < 1e-12
 
+    def test_logistic_past_the_horizon_is_the_oracle(self):
+        # a lag count far past the oracle's horizon serves the same engine
+        model = LinearProcessModel(
+            innovations=get_innovation("logistic"),
+            coefficients=make_power_law_coefficients(3.0), rho=0.45)
+        oracle = build_marginal_oracle(model)
+        tm = TruncatedMarginals(model, oracle)
+        x = np.linspace(-8.0, 8.0, 401)
+        assert np.array_equal(tm.cdf(4096, x), oracle.cdf(x))
+
+    @pytest.mark.parametrize("scale", [1.0, 1.7])
+    def test_gaussian_matches_closed_form(self, scale):
+        model = LinearProcessModel(
+            innovations=get_innovation("gaussian", scale=scale),
+            coefficients=make_power_law_coefficients(3.0), rho=0.45)
+        coeffs = model.coefficients
+        tm = TruncatedMarginals(model, exact_marginal_oracle(model))
+        x = np.linspace(-8.0, 8.0, 401)
+        for L in (1, 2, 3, 8, 40, 75, 512, 4096):
+            var = coeffs.tail_sq(0) - coeffs.tail_sq(L)
+            ref = ndtr(x / (scale * math.sqrt(var)))
+            assert np.max(np.abs(tm.cdf(L, x) - ref)) <= 1e-15
+
+    def test_lag_count_below_one_rejected(self, ma1_gaussian):
+        tm = TruncatedMarginals(*ma1_gaussian)
+        with pytest.raises(ValueError, match="at least 1"):
+            tm.cdf(0, 0.5)
+
     def test_non_smooth_innovation_rejected(self):
         model = LinearProcessModel(
             innovations=get_innovation("uniform"),

@@ -102,6 +102,18 @@ class TestConfig:
 
 
 class TestGate:
+    def test_power_law_takes_the_analytic_verdict(self, monkeypatch):
+        # a power-law model meets tau > 5/2 and rho >= 2/(2 tau - 1) by
+        # construction, so the gate runs no numerical tail product
+        def no_product(*args, **kwargs):
+            raise AssertionError("the gate evaluated the tail product")
+
+        monkeypatch.setattr(harness, "check_dependence_condition",
+                            no_product)
+        cfg = config_from_dict(make_config(**POWER_LAW))
+        dep, smooth = gate_conditions(cfg, build_model(cfg))
+        assert dep is None and not smooth.violation
+
     def test_uniform_iid_passes(self):
         cfg = config_from_dict(make_config(innovation="uniform", rho=0.3))
         gate_conditions(cfg, build_model(cfg))
@@ -265,6 +277,24 @@ def test_one_oracle_build_per_command(tmp_path, monkeypatch, command,
     assert cli_main([command, "--config", str(path), "--out",
                      str(tmp_path / "out"), "--threads", threads]) == 0
     assert log.read_text().splitlines() == ["build"]
+
+
+@pytest.mark.parametrize("command", THREAD_CASES)
+def test_one_model_build_per_command(tmp_path, monkeypatch, command):
+    builds = []
+    build = harness.build_model
+
+    def counted_build(config):
+        builds.append(config)
+        return build(config)
+
+    monkeypatch.setattr(harness, "build_model", counted_build)
+    config, _ = THREAD_CASES[command]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli_main([command, "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--threads", "1"]) == 0
+    assert len(builds) == 1
 
 
 def test_one_task_creates_no_pool(monkeypatch):
@@ -498,6 +528,46 @@ class TestCovarianceCheck:
             extra={"covariance": dict({"n": 64, "replicates": 4}, **block)}))
         with pytest.raises(ConfigError, match=message):
             run_covariance_check(cfg)
+
+    @pytest.mark.parametrize("block", [
+        {"mc_draws": 0}, {"mc_draws": 999}, {"lag_horizon": 0},
+        {"lag_horizon": -1}], ids=["no-draws", "999-draws", "lag-0",
+                                   "lag-minus-1"])
+    def test_monte_carlo_keys_rejected_before_the_gate(self, monkeypatch,
+                                                       block):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the gate or a cell ran")
+
+        for name in ("gate_conditions", "map_cells"):
+            monkeypatch.setattr(harness, name, unreachable)
+        cfg = config_from_dict(make_config(
+            innovation="logistic", n_grid=(16,), replicates=1,
+            coefficients={"kind": "finite", "values": [1.0, 0.5]},
+            extra={"covariance": dict({"n": 64, "replicates": 4}, **block)}))
+        with pytest.raises(ConfigError, match="lag_horizon >= 1 and "
+                                              "mc_draws >= 1000"):
+            run_covariance_check(cfg)
+
+    def test_monte_carlo_keys_exit_2(self, tmp_path, capsys):
+        config = make_config(
+            innovation="logistic", n_grid=(16,), replicates=1,
+            coefficients={"kind": "finite", "values": [1.0, 0.5]},
+            extra={"covariance": {"n": 256, "replicates": 10,
+                                  "mc_draws": 0}})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli_main(["covariance-check", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "mc_draws=0" in capsys.readouterr().err
+
+    def test_monte_carlo_keys_ignored_for_gaussian(self):
+        # the closed form takes neither key, so they are not checked
+        cfg = config_from_dict(make_config(
+            n_grid=(16,), replicates=1,
+            coefficients={"kind": "finite", "values": [1.0, 0.5]},
+            extra={"covariance": {"n": 64, "replicates": 4, "x_grid": [0.0],
+                                  "mc_draws": 0, "lag_horizon": 0}}))
+        assert run_covariance_check(cfg)[0].converged
 
     def test_iid_both_sides_zero(self):
         cfg = config_from_dict(make_config(

@@ -11,6 +11,7 @@ from bklab.innovations import get_innovation
 from bklab.bk import _score_bound
 from bklab.model import (FourierMarginal, LinearProcessModel,
                          build_marginal_oracle, exact_marginal_oracle)
+from bklab.paths import simulate_path
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -38,6 +39,20 @@ class TestModelValidation:
 
     def test_sigma(self):
         assert gaussian_model().sigma == pytest.approx(math.sqrt(1.25))
+
+    @pytest.mark.parametrize("scale", [1.0, 1.7])
+    def test_one_horizon_for_paths_and_engine(self, scale):
+        model = LinearProcessModel(
+            innovations=get_innovation("logistic", scale=scale),
+            coefficients=make_power_law_coefficients(3.0), rho=0.45)
+        K = model.horizon()
+        assert K == simulate_path(model, 16, seed=1).lag_horizon
+        assert K == build_marginal_oracle(model).law.weights.size - 1
+        assert model.horizon(1e-3) == simulate_path(
+            model, 16, seed=1, trunc_tol=1e-3).lag_horizon < K
+        for tol in (0.0, -1.0):
+            with pytest.raises(ValueError, match="trunc_tol must be positive"):
+                model.horizon(tol)
 
 
 class TestExactOracle:

@@ -10,9 +10,10 @@ Each DIR is a checkout of this repository. A round runs one fresh
 interpreter per tree, in turn, and each round starts one tree later than
 the one before (with two trees, they alternate which runs first), so that
 neither a slow spell of the host nor the order favours a tree. The
-interpreter imports bklab from ``DIR/src``, builds the
-oracle of each reference model, runs one warm-up cell per n and then times
-one cell per n, stage by stage:
+interpreter imports bklab from ``DIR/src``. For each reference model it
+times the gate (``build_model`` and ``gate_conditions`` on a model of its
+own) and the build of the oracle, runs one warm-up cell per n and then
+times one cell per n, stage by stage:
 
 - simulate: ``simulate_path``
 - sort+PIT: sorting the sample and the PIT of the sorted sample
@@ -221,10 +222,14 @@ def measure(tree, seed, replicate):
 
     for name, (model_block, nu) in MODELS.items():
         config = harness.config_from_dict(_config(model_block, nu, seed))
+        start = time.perf_counter()
+        harness.gate_conditions(config, harness.build_model(config))
+        gate_s = time.perf_counter() - start
         model = harness.build_model(config)
         start = time.perf_counter()
         oracle = harness.build_oracle(model, config)
-        cells = {"oracle_build_s": time.perf_counter() - start}
+        cells = {"gate_s": gate_s,
+                 "oracle_build_s": time.perf_counter() - start}
         for n in N_VALUES:
             harness._rate_cell(model, oracle, config, n, 0)  # warm-up
             clock = _Clock()
@@ -397,8 +402,8 @@ def main(argv=None):
         rss = [s["maxrss_mb"] for s in startup]
         models = {}
         for name in MODELS:
-            entry = {"oracle_build": _summary(
-                [r[name]["oracle_build_s"] for r in runs])}
+            entry = {key[:-2]: _summary([r[name][key] for r in runs])
+                     for key in ("gate_s", "oracle_build_s")}
             for n in N_VALUES:
                 keys = (*STAGES, "cell", "increment")
                 entry[f"n={n}"] = {k: _summary([r[name][str(n)][k]
